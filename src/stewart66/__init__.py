@@ -6,34 +6,25 @@ self-motion family on conic bases."""
 from .errors import (DegenerateBase, DegenerateLeg, DuplicateVertex,
                      Inconsistent, Infeasible, KinematicsError,
                      NoIntersection, NotParameterizable, NotUnit,
-                     ParallelPlanes, RankDeficient, SingularBase,
-                     ValidationError, WrongRank)
-from .fk_nonsingular import (FkSolution, QuaternionCandidates, fk_solve,
-                             position_from_w, quaternions_from_w, solve_w)
+                     ParallelPlanes, SingularBase, ValidationError, WrongRank)
+from .fk_nonsingular import FkSolution, fk_solve
 from .fk_singular import (SingularCurveSample, SingularSystem,
                           build_singular_system, feasible_interval,
                           recover_poses, sweep, w_at, w_at_arc)
-from .geometry import (ConicReport, PlatformGeometry, build_q, conic_check,
+from .geometry import (ConicReport, PlatformGeometry, conic_check,
                        make_circle_base)
-from .ik import (Pose, check_lengths, d_from_lengths, leg_lengths,
-                 leg_vectors, w_from_pose)
-from .linalg import (LUFactorization, det6, lu_factor, null_vector, solve6,
-                     solve_rank_deficient)
-from .rotation import Quaternion, canonicalize, from_matrix, to_matrix
+from .ik import Pose, leg_lengths
+from .rotation import Quaternion
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConicReport", "DegenerateBase", "DegenerateLeg", "DuplicateVertex",
     "FkSolution", "Inconsistent", "Infeasible", "KinematicsError",
-    "LUFactorization", "NoIntersection", "NotParameterizable", "NotUnit",
-    "ParallelPlanes", "PlatformGeometry", "Pose", "Quaternion",
-    "QuaternionCandidates", "RankDeficient", "SingularBase",
+    "NoIntersection", "NotParameterizable", "NotUnit", "ParallelPlanes",
+    "PlatformGeometry", "Pose", "Quaternion", "SingularBase",
     "SingularCurveSample", "SingularSystem", "ValidationError", "WrongRank",
-    "build_q", "build_singular_system", "canonicalize", "check_lengths",
-    "conic_check", "d_from_lengths", "det6", "feasible_interval", "fk_solve",
-    "from_matrix", "leg_lengths", "leg_vectors", "lu_factor",
-    "make_circle_base", "null_vector", "position_from_w",
-    "quaternions_from_w", "recover_poses", "solve6", "solve_rank_deficient",
-    "solve_w", "sweep", "to_matrix", "w_at", "w_at_arc", "w_from_pose",
+    "build_singular_system", "conic_check", "feasible_interval", "fk_solve",
+    "leg_lengths", "make_circle_base", "recover_poses", "sweep", "w_at",
+    "w_at_arc",
 ]

@@ -96,15 +96,18 @@ def cmd_ik(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    geom = load_geometry(args.geom)
-    report = conic_check(geom.base)
-    print(json.dumps({
+def _conic_json(report) -> dict:
+    return {
         "detQ": _jfloat(report.det_q),
         "rank": int(report.rank),
         "on_conic": bool(report.on_conic),
         "conic": None if report.conic is None else [_jfloat(x) for x in report.conic],
-    }))
+    }
+
+
+def cmd_check(args) -> int:
+    geom = load_geometry(args.geom)
+    print(json.dumps(_conic_json(conic_check(geom.base))))
     return 0
 
 
@@ -126,15 +129,13 @@ def cmd_fk(args) -> int:
         raise Infeasible("no pose reproduces the requested leg lengths")
     payload = []
     for sol in solutions:
-        # re-audit through the leg oracle at emission time
-        audited = float(np.max(np.abs(leg_lengths(geom, sol.pose) - lengths)))
         q = sol.pose.orientation
         payload.append({
             "q": [_jfloat(q.q0), _jfloat(q.q1), _jfloat(q.q2), _jfloat(q.q3)],
             "P": [_jfloat(x) for x in sol.pose.position],
             "branch_rot": sol.rotation_index,
             "branch_pos": sol.position_sign,
-            "residual": audited,
+            "residual": sol.leg_residual,
         })
     print(json.dumps({"mode": "nonsingular", "solutions": payload}))
     return 0
@@ -150,22 +151,19 @@ def cmd_sweep(args) -> int:
     system = build_singular_system(geom, lengths)
     samples = sweep(system, geom, args.w1_min, args.w1_max, args.samples)
     lines = [CSV_HEADER]
-    max_residual = None
     for s in samples:
         w1_txt = _num(s.parameter if system.parameterizable_by_w1 else s.w[0])
         if not s.feasible:
             lines.append(f"{w1_txt},,,,,,,,,,0,")
             continue
         for sol in s.poses:
-            audited = float(np.max(np.abs(leg_lengths(geom, sol.pose) - lengths)))
-            max_residual = audited if max_residual is None else max(max_residual, audited)
             q = sol.pose.orientation
             p = sol.pose.position
             lines.append(",".join([
                 w1_txt, str(sol.rotation_index), str(sol.position_sign),
                 _num(q.q0), _num(q.q1), _num(q.q2), _num(q.q3),
                 _num(p[0]), _num(p[1]), _num(p[2]),
-                "1", _num(audited),
+                "1", _num(sol.leg_residual),
             ]))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -176,16 +174,12 @@ def cmd_sweep(args) -> int:
         "w1_min": args.w1_min,
         "w1_max": args.w1_max,
         "samples": args.samples,
-        "conic": {
-            "detQ": _jfloat(report.det_q),
-            "rank": int(report.rank),
-            "on_conic": bool(report.on_conic),
-            "conic": None if report.conic is None else [_jfloat(x) for x in report.conic],
-        },
+        "conic": _conic_json(report),
         "parameterized_by_w1": system.parameterizable_by_w1,
         "sample_count": len(samples),
         "feasible_count": sum(1 for s in samples if s.feasible),
-        "max_residual": max_residual,
+        "max_residual": max((sol.leg_residual for s in samples for sol in s.poses),
+                            default=None),
         "out": args.out,
         "elapsed_seconds": time.perf_counter() - start,
     }))

@@ -21,10 +21,6 @@ class DegenerateLeg(KinematicsError):
     """A leg vector collapsed to (numerically) zero length."""
 
 
-class RankDeficient(KinematicsError):
-    """Full-rank solve requested on a rank-deficient matrix."""
-
-
 class WrongRank(KinematicsError):
     """Operation defined only at one specific rank saw another."""
 

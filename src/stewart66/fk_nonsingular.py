@@ -59,7 +59,7 @@ def solve_w(q_matrix, d) -> np.ndarray:
         raise SingularBase(
             f"base matrix has rank {f.rank}: poses are not isolated, "
             "use the singular-family solver")
-    return linalg.solve6(f, d)
+    return linalg.solve(f, d)
 
 
 def _clamped_sqrt(value: float, scale: float, what: str) -> float:

@@ -33,8 +33,7 @@ BISECT_TOL = 1e-9
 class SingularSystem:
     """Rank-5 length system on a conic base, solved up to one parameter."""
 
-    factorization: linalg.LUFactorization
-    particular: np.ndarray  # one solution, pivot-free coordinate zeroed
+    particular: np.ndarray  # one solution, see linalg.solve
     null_dir: np.ndarray    # unit kernel vector
     parameterizable_by_w1: bool
     lengths: np.ndarray     # the leg lengths the system was built from
@@ -65,10 +64,9 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     if f.rank < 5:
         raise DegenerateBase(f"base matrix rank {f.rank} < 5: vertices are degenerate")
     d = d_from_lengths(geom, lengths)
-    particular = linalg.solve_rank_deficient(f, d)
+    particular = linalg.solve(f, d)
     null_dir = linalg.null_vector(f)
     return SingularSystem(
-        factorization=f,
         particular=particular,
         null_dir=null_dir,
         parameterizable_by_w1=bool(abs(null_dir[0]) > W1_COMPONENT_TOL),

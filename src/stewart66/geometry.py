@@ -67,7 +67,7 @@ class PlatformGeometry:
 class ConicReport:
     """Outcome of the rank test on the base's conic matrix."""
 
-    det_q: float
+    det_q: float  # reported by the CLI; the rank alone decides on_conic
     rank: int
     on_conic: bool
     conic: Optional[np.ndarray]  # unit (1, x, y, x^2, xy, y^2) coefficients, rank 5 only
@@ -97,10 +97,11 @@ def build_q(base) -> np.ndarray:
 
 def conic_check(base) -> ConicReport:
     """Rank-test the conic matrix; six points on any conic drop it to five."""
-    f = linalg.lu_factor(build_q(base))
+    q = build_q(base)
+    f = linalg.lu_factor(q)
     conic = linalg.null_vector(f) if f.rank == 5 else None
     return ConicReport(
-        det_q=linalg.det_from_factorization(f),
+        det_q=float(np.linalg.det(q)),
         rank=f.rank,
         on_conic=f.rank <= 5,
         conic=conic,

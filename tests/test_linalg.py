@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import CIRCLE_COEFFS, hexagon_base
-from stewart66.errors import Inconsistent, RankDeficient, WrongRank
-from stewart66.geometry import build_q
-from stewart66.linalg import (consistency_tol, det6, lu_factor, null_vector,
-                              solve6, solve_rank_deficient)
+from helpers import (CIRCLE_COEFFS, hexagon_base, random_circle_base,
+                     random_generic_base)
+from stewart66.errors import Inconsistent, WrongRank
+from stewart66.geometry import build_q, conic_check
+from stewart66.linalg import consistency_tol, lu_factor, null_vector, solve
 
 
 def hexagon_q():
@@ -20,10 +20,10 @@ matrices = st.lists(
 ).map(lambda v: np.array(v).reshape(6, 6))
 
 
-def test_identity_has_rank_six_unit_pivots():
+def test_identity_has_rank_six_unit_singular_values():
     f = lu_factor(np.eye(6))
     assert f.rank == 6
-    assert np.array_equal(f.pivots, np.ones(6))
+    assert np.allclose(f.s, np.ones(6), rtol=0.0, atol=1e-15)
 
 
 def test_hexagon_conic_matrix_has_rank_five():
@@ -50,18 +50,26 @@ def test_rejects_non_finite_entries():
 @given(matrices)
 def test_reconstruction(m):
     f = lu_factor(m)
-    err = np.max(np.abs(f.lower @ f.upper - m[f.perm]))
-    assert err <= 1e-12 * np.max(np.abs(m))
-    assert sorted(f.perm) == list(range(6))
+    target = m * f.scale
+    err = np.max(np.abs(f.u @ np.diag(f.s) @ f.vt - target))
+    assert err <= 1e-12 * max(1.0, np.max(np.abs(target)))
+    assert np.all(f.scale > 0.0)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1e4])
+def test_rank_verdict_ignores_base_scale(radius, rng):
+    for _ in range(50):
+        assert conic_check(radius * random_generic_base(rng)).rank == 6
+        assert conic_check(radius * random_circle_base(rng)).rank == 5
 
 
 def test_solve_identity_passthrough():
     rhs = np.array([1.0, 2, 3, 4, 5, 6])
-    assert np.array_equal(solve6(lu_factor(np.eye(6)), rhs), rhs)
+    assert np.array_equal(solve(lu_factor(np.eye(6)), rhs), rhs)
 
 
 def test_solve_uniform_diagonal():
-    x = solve6(lu_factor(2.0 * np.eye(6)), np.full(6, 2.0))
+    x = solve(lu_factor(2.0 * np.eye(6)), np.full(6, 2.0))
     assert np.array_equal(x, np.ones(6))
 
 
@@ -70,14 +78,9 @@ def test_solve_random_round_trips(rng):
         m = rng.uniform(-1, 1, (6, 6)) + 3.0 * np.eye(6)
         x0 = rng.uniform(-1, 1, 6)
         rhs = m @ x0
-        x = solve6(lu_factor(m), rhs)
+        x = solve(lu_factor(m), rhs)
         assert np.max(np.abs(x - x0)) <= 1e-9
         assert np.max(np.abs(m @ x - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(rhs)))
-
-
-def test_solve_refuses_rank_deficient():
-    with pytest.raises(RankDeficient):
-        solve6(lu_factor(hexagon_q()), np.zeros(6))
 
 
 def test_circle_coefficients_annihilate_rows():
@@ -117,7 +120,7 @@ def test_null_vector_on_ellipse_points():
 
 
 def test_rank_deficient_zero_rhs():
-    w = solve_rank_deficient(lu_factor(hexagon_q()), np.zeros(6))
+    w = solve(lu_factor(hexagon_q()), np.zeros(6))
     assert np.array_equal(w, np.zeros(6))
 
 
@@ -125,7 +128,7 @@ def test_rank_deficient_kernel_rhs_collapses():
     q = hexagon_q()
     rhs = q @ np.array([1.0, 0, 0, -1, 0, -1])
     assert np.max(np.abs(rhs)) < 1e-15  # that vector is in the kernel
-    w = solve_rank_deficient(lu_factor(q), rhs)
+    w = solve(lu_factor(q), rhs)
     assert np.max(np.abs(w)) < 1e-12
 
 
@@ -134,7 +137,7 @@ def test_rank_deficient_particular_solution():
     f = lu_factor(q)
     x0 = np.array([0.0, 1, 1, 0, 0, 0])
     rhs = q @ x0
-    w = solve_rank_deficient(f, rhs)
+    w = solve(f, rhs)
     assert np.max(np.abs(q @ w - rhs)) <= consistency_tol(rhs)
     # w may differ from x0 only along the kernel
     diff = w - x0
@@ -144,31 +147,19 @@ def test_rank_deficient_particular_solution():
 
 def test_rank_deficient_flags_inconsistent_rhs():
     q = hexagon_q()
-    left = null_vector(lu_factor(q.T.copy()))
-    assert abs(left[0]) > 1e-3  # a bump on row 1 leaves the column space
+    f = lu_factor(q)
+    assert abs(f.u[0, 5]) > 1e-3  # a bump on row 1 leaves the column space
     rhs = q @ np.ones(6)
     rhs[0] += 0.1
     with pytest.raises(Inconsistent):
-        solve_rank_deficient(lu_factor(q), rhs)
+        solve(f, rhs)
 
 
 def test_rank_deficient_needs_rank_five():
     with pytest.raises(WrongRank):
-        solve_rank_deficient(lu_factor(np.eye(6)), np.ones(6))
-
-
-def test_det_identity():
-    assert det6(np.eye(6)) == 1.0
-
-
-def test_det_matches_numpy(rng):
-    for _ in range(50):
-        m = rng.uniform(-2, 2, (6, 6))
-        assert det6(m) == pytest.approx(np.linalg.det(m), rel=1e-9, abs=1e-12)
-
-
-def test_det_vanishes_on_conic_matrix():
-    assert abs(det6(hexagon_q())) < 1e-9
+        solve(lu_factor(np.diag([1.0, 1, 1, 1, 0, 0])), np.ones(6))
+    with pytest.raises(WrongRank):
+        solve(lu_factor(np.zeros((6, 6))), np.zeros(6))
 
 
 def test_cross_product_orthogonality(rng):
