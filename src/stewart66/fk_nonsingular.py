@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DegenerateLeg, Infeasible, NoIntersection,
-                     ParallelPlanes, SingularBase)
-from .geometry import PlatformGeometry, build_q
+from .errors import DegenerateLeg, Infeasible, NoIntersection, ParallelPlanes
+from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import Pose, d_from_lengths, leg_lengths
 from .rotation import Quaternion, canonicalize, from_matrix, to_matrix
 
@@ -52,16 +51,6 @@ class FkSolution:
     leg_residual: float  # max |recomputed length - input length|
 
 
-def solve_w(q_matrix, d) -> np.ndarray:
-    """Solve the length system; the base must be off any conic (rank 6)."""
-    f = linalg.lu_factor(q_matrix)
-    if f.rank < 6:
-        raise SingularBase(
-            f"base matrix has rank {f.rank}: poses are not isolated, "
-            "use the singular-family solver")
-    return linalg.solve(f, d)
-
-
 def _clamped_sqrt(value: float, scale: float, what: str) -> float:
     """Square root of a squared component that may carry rounding noise.
 
@@ -84,11 +73,11 @@ def _quat_gap(a: Quaternion, b: Quaternion) -> float:
 def quaternions_from_w(w, mu: float) -> QuaternionCandidates:
     """Up to four canonical rotation candidates from (w4, w5, w6).
 
-    q2 takes the positive root; where q2 is away from zero, q1 comes from
-    the product constraint q1*q2 = beta (dividing keeps the product exact
-    where the difference of square roots cancels catastrophically).  Sign
-    flips over (q1, q2) jointly and over q3 enumerate the rest; duplicates
-    collapse after canonicalization.
+    q2 takes the positive root and q1 the sign of beta.  The smaller of the
+    two comes from the product constraint |q1*q2| = |beta| divided by the
+    larger one: its own square root loses its digits to cancellation in
+    gamma -/+ alpha.  Sign flips over (q1, q2) jointly and over q3
+    enumerate the rest; duplicates collapse after canonicalization.
     """
     w4, w5 = float(w[3]), float(w[4])
     w6 = float(w[5])
@@ -106,8 +95,13 @@ def quaternions_from_w(w, mu: float) -> QuaternionCandidates:
     total = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
     if abs(total - 1.0) > UNIT_TOL:
         raise Infeasible(f"candidate norm^2 = {total:.9g}: w fits no unit quaternion")
-    if q2 > 1e-12:
-        q1 = beta / q2
+    if max(q1, q2) > 1e-12:
+        if q1 <= q2:
+            q1 = abs(beta) / q2
+        else:
+            q2 = abs(beta) / q1
+    if beta < 0.0:
+        q1 = -q1
     candidates = []
     for s12, s3 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         cand = canonicalize(Quaternion(q0, s12 * q1 + 0.0, s12 * q2 + 0.0, s3 * q3 + 0.0))
@@ -180,10 +174,11 @@ def fk_solve(geom: PlatformGeometry, lengths) -> list:
     """All isolated poses reproducing the leg lengths; at most eight.
 
     Ordered by (rotation candidate, sphere branch + before -).  Raises
-    SingularBase on a conic base and Infeasible when the solved w admits
-    no rotation at all; an empty list means rotations exist but no
-    position reproduces the lengths.
+    SingularBase on a conic base, DegenerateBase below rank 5, and
+    Infeasible when the solved w admits no rotation at all; an empty list
+    means rotations exist but no position reproduces the lengths.
     """
     lengths = np.asarray(lengths, dtype=float)
-    w = solve_w(build_q(geom.base), d_from_lengths(geom, lengths))
+    f = factor_for_rank(build_q(geom.base), 6)
+    w = linalg.solve(f, d_from_lengths(geom, lengths))
     return solutions_from_w(geom, w, lengths)

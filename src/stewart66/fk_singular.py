@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (DegenerateBase, Infeasible, NotParameterizable,
-                     ValidationError, WrongRank)
+from .errors import Infeasible, NotParameterizable, ValidationError
 from .fk_nonsingular import FkSolution, solutions_from_w
-from .geometry import PlatformGeometry, build_q
+from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import d_from_lengths
 
 # Below this |n_1| the family cannot be indexed by w1; arc length instead.
@@ -58,13 +57,8 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     below rank 5, Inconsistent when no pose realizes the lengths.
     """
     lengths = np.asarray(lengths, dtype=float)
-    f = linalg.lu_factor(build_q(geom.base))
-    if f.rank == 6:
-        raise WrongRank("base is not on a conic: poses are isolated, use fk_solve")
-    if f.rank < 5:
-        raise DegenerateBase(f"base matrix rank {f.rank} < 5: vertices are degenerate")
-    d = d_from_lengths(geom, lengths)
-    particular = linalg.solve(f, d)
+    f = factor_for_rank(build_q(geom.base), 5)
+    particular = linalg.solve(f, d_from_lengths(geom, lengths))
     null_dir = linalg.null_vector(f)
     return SingularSystem(
         particular=particular,
@@ -91,19 +85,10 @@ def w_at_arc(system: SingularSystem, arc: float) -> np.ndarray:
     return system.particular + arc * system.null_dir
 
 
-def recover_poses(geom: PlatformGeometry, w, lengths=None) -> list:
-    """Poses at one point of the family; Infeasible when there are none.
-
-    Without explicit lengths the audit targets come from w itself, via
-    L_i^2 = (Q @ w)_i + (1 + mu^2)|B_i|^2.
-    """
-    w = np.asarray(w, dtype=float)
-    if lengths is None:
-        sq = build_q(geom.base) @ w + (1.0 + geom.mu ** 2) * (geom.base ** 2).sum(axis=1)
-        if np.any(sq <= 0.0):
-            raise Infeasible("w implies a nonpositive squared leg length")
-        lengths = np.sqrt(sq)
-    solutions = solutions_from_w(geom, w, lengths)
+def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
+    """Poses at one point of the family, audited against the leg lengths;
+    Infeasible when there are none."""
+    solutions = solutions_from_w(geom, np.asarray(w, dtype=float), lengths)
     if not solutions:
         raise Infeasible("no pose branch reproduces the leg lengths at this parameter")
     return solutions
@@ -122,6 +107,8 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     Infeasible samples are recorded, not fatal.  Grid values are w1, or
     arc length when the system is not w1-parameterizable.
     """
+    if not (math.isfinite(w1_min) and math.isfinite(w1_max)):
+        raise ValidationError("sweep bounds must be finite")
     if int(samples) < 2:
         raise ValidationError(f"need at least 2 samples, got {samples}")
     if not w1_max > w1_min:
@@ -175,8 +162,8 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     """
     if not system.parameterizable_by_w1:
         raise NotParameterizable("family is not indexed by w1")
-    if not w1_hint_max > 0.0:
-        raise ValidationError("w1_hint_max must be positive")
+    if not 0.0 < w1_hint_max < math.inf:
+        raise ValidationError("w1_hint_max must be positive and finite")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
     flags = [_feasible_at(system, geom, float(x)) for x in grid]
     intervals = []

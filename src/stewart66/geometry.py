@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DuplicateVertex, ValidationError
+from .errors import (DegenerateBase, DuplicateVertex, SingularBase,
+                     ValidationError, WrongRank)
 
 MIN_VERTEX_SEPARATION = 1e-9
 ORTHOGONALITY_TOL = 1e-9
@@ -106,3 +107,21 @@ def conic_check(base) -> ConicReport:
         on_conic=f.rank <= 5,
         conic=conic,
     )
+
+
+def factor_for_rank(q, rank: int) -> linalg.Factorization:
+    """Factor the conic matrix for a solver that needs rank 6 or rank 5.
+
+    Rank 6 (isolated poses, fk_solve) raises SingularBase on a conic base;
+    rank 5 (the self-motion family) raises WrongRank off every conic.
+    Either raises DegenerateBase below rank 5.
+    """
+    f = linalg.lu_factor(q)
+    if f.rank < 5:
+        raise DegenerateBase(f"base matrix rank {f.rank} < 5: vertices are degenerate")
+    if f.rank != rank:
+        if rank == 6:
+            raise SingularBase("base lies on a conic: poses are not isolated, "
+                               "use the singular-family solver")
+        raise WrongRank("base not on a conic: poses are isolated, use fk_solve")
+    return f

@@ -25,7 +25,7 @@ class Quaternion:
 
     def __post_init__(self):
         norm = math.sqrt(self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
         if abs(norm - 1.0) > RENORM_TOL:
             for name in ("q0", "q1", "q2", "q3"):
@@ -39,7 +39,7 @@ def to_matrix(q: Quaternion) -> np.ndarray:
     """Rotation matrix of a unit quaternion (right handed, det +1)."""
     q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
     return np.array([
         [2 * q0 * q0 - 1 + 2 * q1 * q1, 2 * q1 * q2 - 2 * q0 * q3, 2 * q0 * q2 + 2 * q1 * q3],

@@ -22,6 +22,12 @@ def perturbed_hexagon_base():
     return base
 
 
+def collinear_base():
+    # six distinct points on a line: the conic matrix drops to rank 3
+    x = np.linspace(-2, 3, 6)
+    return np.column_stack([x, 0.5 * x])
+
+
 def random_unit_quaternion(rng):
     while True:
         v = rng.normal(size=4)

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import collinear_base
+from stewart66 import linalg
 from stewart66.cli import main
 
 HEX_GEOM = {"circle_angles": [k * math.pi / 3 for k in range(6)], "mu": 0.5}
@@ -16,6 +18,9 @@ PERTURBED_GEOM = {
 }
 IDENTITY_POSE = {"q": [1.0, 0.0, 0.0, 0.0], "P": [0.0, 0.0, 1.0]}
 ROOT_125 = math.sqrt(1.25)
+# identity pose at height 1; leg 1 runs from (1.2, 0, 0) to (0.6, 0, 1):
+# length^2 = 0.36 + 1
+PERTURBED_LENGTHS = [math.sqrt(1.25 + 0.11)] + [ROOT_125] * 5
 
 
 def write(path, payload):
@@ -43,6 +48,11 @@ def resting_legs(tmp_path):
     return write(tmp_path / "legs.json", {"L": [ROOT_125] * 6})
 
 
+@pytest.fixture
+def perturbed_legs(tmp_path):
+    return write(tmp_path / "legs6.json", {"L": PERTURBED_LENGTHS})
+
+
 def test_ik_hexagon_identity(hex_geom, identity_pose, capsys):
     assert main(["ik", "--geom", hex_geom, "--pose", identity_pose]) == 0
     out = capsys.readouterr().out
@@ -52,6 +62,12 @@ def test_ik_hexagon_identity(hex_geom, identity_pose, capsys):
 
 def test_ik_rejects_non_unit_quaternion(tmp_path, hex_geom, capsys):
     pose = write(tmp_path / "bad_pose.json", {"q": [0.9, 0, 0, 0], "P": [0, 0, 1]})
+    assert main(["ik", "--geom", hex_geom, "--pose", pose]) == 2
+    assert "quaternion not unit" in capsys.readouterr().err
+
+
+def test_ik_rejects_nan_quaternion(tmp_path, hex_geom, capsys):
+    pose = write(tmp_path / "nan_pose.json", {"q": [math.nan, 0, 0, 0], "P": [0, 0, 1]})
     assert main(["ik", "--geom", hex_geom, "--pose", pose]) == 2
     assert "quaternion not unit" in capsys.readouterr().err
 
@@ -92,11 +108,8 @@ def test_geometry_rejects_bad_top_transform(tmp_path, identity_pose, capsys):
     assert "orthogonal" in capsys.readouterr().err
 
 
-def test_fk_round_trip(perturbed_geom, tmp_path, capsys):
-    lengths = [math.sqrt(1.25 + 0.11), ROOT_125, ROOT_125, ROOT_125, ROOT_125, ROOT_125]
-    # leg 1 runs from (1.2, 0, 0) to (0.6, 0, 1): length^2 = 0.36 + 1
-    legs = write(tmp_path / "legs6.json", {"L": lengths})
-    assert main(["fk", "--geom", perturbed_geom, "--legs", legs]) == 0
+def test_fk_round_trip(perturbed_geom, perturbed_legs, capsys):
+    assert main(["fk", "--geom", perturbed_geom, "--legs", perturbed_legs]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mode"] == "nonsingular"
     assert 1 <= len(report["solutions"]) <= 8
@@ -105,7 +118,7 @@ def test_fk_round_trip(perturbed_geom, tmp_path, capsys):
              and np.allclose(s["P"], [0, 0, 1], atol=1e-8)]
     assert seeds
     for s in report["solutions"]:
-        assert s["residual"] <= 1e-8 * (1 + max(lengths))
+        assert s["residual"] <= 1e-8 * (1 + max(PERTURBED_LENGTHS))
 
 
 def test_fk_reports_singular_mode(hex_geom, resting_legs, capsys):
@@ -113,6 +126,19 @@ def test_fk_reports_singular_mode(hex_geom, resting_legs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["mode"] == "singular"
     assert "sweep" in report["message"]
+
+
+def test_fk_collinear_base_exit_3(tmp_path, resting_legs, capsys):
+    geom = write(tmp_path / "line.json", {"base": collinear_base().tolist(), "mu": 0.5})
+    assert main(["fk", "--geom", geom, "--legs", resting_legs]) == 3
+    assert "rank" in capsys.readouterr().err
+
+
+def test_fk_factors_the_base_once(perturbed_geom, perturbed_legs, monkeypatch, capsys):
+    calls, factor = [], linalg.lu_factor
+    monkeypatch.setattr(linalg, "lu_factor", lambda m: calls.append(m) or factor(m))
+    assert main(["fk", "--geom", perturbed_geom, "--legs", perturbed_legs]) == 0
+    assert len(calls) == 1
 
 
 def test_fk_impossible_lengths_exit_3(perturbed_geom, tmp_path, capsys):
@@ -164,6 +190,14 @@ def test_sweep_rank_six_base_exit_3(perturbed_geom, resting_legs, tmp_path, caps
                  "--out", str(tmp_path / "na.csv")])
     assert code == 3
     assert "base not on a conic" in capsys.readouterr().err
+
+
+def test_sweep_rejects_infinite_bound(hex_geom, resting_legs, tmp_path, capsys):
+    code = main(["sweep", "--geom", hex_geom, "--legs", resting_legs,
+                 "--w1-min", "0", "--w1-max", "inf", "--samples", "11",
+                 "--out", str(tmp_path / "na.csv")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_sweep_inconsistent_lengths_exit_3(hex_geom, tmp_path, capsys):

@@ -3,34 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (hexagon_base, perturbed_hexagon_base, pose_gap,
-                     random_feasible_pose, random_generic_base,
-                     random_rotation, random_unit_quaternion)
-from stewart66.errors import Infeasible, NoIntersection, SingularBase
-from stewart66.fk_nonsingular import (fk_solve, position_from_w,
-                                      quaternions_from_w, solve_w)
-from stewart66.geometry import PlatformGeometry, build_q
-from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
+from helpers import (collinear_base, hexagon_base, pose_gap,
+                     random_feasible_pose, random_generic_base, random_rotation)
+from stewart66.errors import (DegenerateBase, Infeasible, NoIntersection,
+                              SingularBase)
+from stewart66.fk_nonsingular import fk_solve, position_from_w, quaternions_from_w
+from stewart66.geometry import PlatformGeometry
+from stewart66.ik import Pose, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
 
 
-def test_solve_w_identity_matrix_is_passthrough():
-    d = np.array([3.0, 1, 4, 1, 5, 9])
-    assert np.allclose(solve_w(np.eye(6), d), d)
-
-
-def test_solve_w_matches_pose_oracle(perturbed_geometry):
-    pose = Pose(Quaternion(1, 0, 0, 0), np.array([0.0, 0.0, 1.0]))
-    d = d_from_lengths(perturbed_geometry, leg_lengths(perturbed_geometry, pose))
-    w = solve_w(build_q(perturbed_geometry.base), d)
-    assert np.max(np.abs(w - w_from_pose(perturbed_geometry, pose))) <= 1e-9
-
-
-def test_solve_w_raises_on_conic_base():
-    with pytest.raises(SingularBase):
-        solve_w(build_q(hexagon_base()), np.zeros(6))
+@pytest.mark.parametrize("base, error", [
+    (hexagon_base(), SingularBase),
+    (collinear_base(), DegenerateBase),
+], ids=["conic", "collinear"])
+def test_fk_solve_refuses_rank_deficient_base(base, error):
+    # rank 5 belongs to the family solver; below rank 5 no solver applies
+    with pytest.raises(error):
+        fk_solve(PlatformGeometry(base=base, mu=0.5), np.ones(6))
 
 
 def test_identity_w_gives_single_candidate():
@@ -144,6 +136,15 @@ def test_fk_recovers_seed_pose(perturbed_geometry):
     # deterministic ordering: rotation index ascending, + branch before -
     keys = [(s.rotation_index, -s.position_sign) for s in sols]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("q2", [1e-5, 1e-6, 1e-7])
+def test_fk_recovers_pose_with_small_quaternion_component(perturbed_geometry, q2):
+    # the small root of q1, q2 must not come from a cancelling square root
+    v = np.array([0.3, 0.95, q2, 0.08])
+    pose = Pose(Quaternion(*(v / np.linalg.norm(v))), np.array([0.1, -0.2, 0.9]))
+    sols = fk_solve(perturbed_geometry, leg_lengths(perturbed_geometry, pose))
+    assert min(pose_gap(s.pose, pose) for s in sols) <= 1e-10
 
 
 def test_fk_impossible_lengths(perturbed_geometry):

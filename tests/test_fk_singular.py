@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (CIRCLE_COEFFS, hexagon_base, pose_gap,
+from helpers import (CIRCLE_COEFFS, collinear_base, pose_gap,
                      perturbed_hexagon_base, random_circle_base,
                      random_feasible_pose, random_rotation)
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible,
@@ -56,8 +56,7 @@ def test_rank_six_base_rejected():
 
 
 def test_collinear_base_rejected():
-    base = np.column_stack([np.linspace(-2, 3, 6), np.linspace(-2, 3, 6) * 0.5])
-    geom = PlatformGeometry(base=base, mu=0.5)
+    geom = PlatformGeometry(base=collinear_base(), mu=0.5)
     with pytest.raises(DegenerateBase):
         build_singular_system(geom, np.ones(6))
 
@@ -95,13 +94,15 @@ def test_affine_line_property(hexagon_geometry, rng):
 
 
 def test_recover_poses_at_seed_parameter(hexagon_geometry):
-    sols = recover_poses(hexagon_geometry, np.array([1.0, 0, 0, -1, 0, -1]))
+    sols = recover_poses(hexagon_geometry, np.array([1.0, 0, 0, -1, 0, -1]),
+                         np.full(6, ROOT_125))
     assert {(round(s.pose.orientation.q0, 9), round(s.pose.position[2], 9))
             for s in sols} == {(1.0, 1.0), (1.0, -1.0)}
 
 
 def test_recover_poses_halfway(hexagon_geometry):
-    sols = recover_poses(hexagon_geometry, np.array([0.5, 0, 0, -0.5, 0, -0.5]))
+    sols = recover_poses(hexagon_geometry, np.array([0.5, 0, 0, -0.5, 0, -0.5]),
+                         np.full(6, ROOT_125))
     for s in sols:
         q = s.pose.orientation
         assert q.q0 == pytest.approx(math.sqrt(0.75), abs=1e-12)
@@ -114,7 +115,7 @@ def test_recover_poses_halfway(hexagon_geometry):
 
 
 def test_recover_poses_at_zero(hexagon_geometry):
-    sols = recover_poses(hexagon_geometry, np.zeros(6))
+    sols = recover_poses(hexagon_geometry, np.zeros(6), np.full(6, ROOT_125))
     for s in sols:
         assert s.pose.orientation.q0 == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert np.max(np.abs(s.pose.position)) <= 1e-12
@@ -151,6 +152,8 @@ def test_sweep_validates_grid(hexagon_geometry, resting_system):
         sweep(resting_system, hexagon_geometry, 1.0, 0.5, 10)
     with pytest.raises(ValidationError):
         sweep(resting_system, hexagon_geometry, -0.5, 1.0, 10)
+    with pytest.raises(ValidationError):
+        sweep(resting_system, hexagon_geometry, 0.0, math.inf, 10)
 
 
 def test_sweep_contains_seed_pose(rng):
@@ -205,6 +208,8 @@ def test_feasible_interval_contains_seed_at_origin(hexagon_geometry):
 def test_interval_hint_must_be_positive(resting_system, hexagon_geometry):
     with pytest.raises(ValidationError):
         feasible_interval(resting_system, hexagon_geometry, 0.0)
+    with pytest.raises(ValidationError):
+        feasible_interval(resting_system, hexagon_geometry, math.inf)
 
 
 def circle_through_origin_geometry():

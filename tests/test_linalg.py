@@ -7,7 +7,9 @@ from helpers import (CIRCLE_COEFFS, hexagon_base, random_circle_base,
                      random_generic_base)
 from stewart66.errors import Inconsistent, WrongRank
 from stewart66.geometry import build_q, conic_check
+from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
 from stewart66.linalg import consistency_tol, lu_factor, null_vector, solve
+from stewart66.rotation import Quaternion
 
 
 def hexagon_q():
@@ -66,6 +68,13 @@ def test_rank_verdict_ignores_base_scale(radius, rng):
 def test_solve_identity_passthrough():
     rhs = np.array([1.0, 2, 3, 4, 5, 6])
     assert np.array_equal(solve(lu_factor(np.eye(6)), rhs), rhs)
+
+
+def test_solve_matches_pose_oracle(perturbed_geometry):
+    pose = Pose(Quaternion(1, 0, 0, 0), np.array([0.0, 0.0, 1.0]))
+    d = d_from_lengths(perturbed_geometry, leg_lengths(perturbed_geometry, pose))
+    w = solve(lu_factor(build_q(perturbed_geometry.base)), d)
+    assert np.max(np.abs(w - w_from_pose(perturbed_geometry, pose))) <= 1e-9
 
 
 def test_solve_uniform_diagonal():
