@@ -169,7 +169,7 @@ def cmd_sweep(args) -> int:
         "w1_min": args.w1_min,
         "w1_max": args.w1_max,
         "samples": args.samples,
-        "conic": _conic_json(conic_check(geom.base)),
+        "conic": _conic_json(system.conic),
         "parameterized_by_w1": system.parameterizable_by_w1,
         "sample_count": len(samples),
         "feasible_count": sum(1 for s in samples if s.feasible),

@@ -45,9 +45,5 @@ class ParallelPlanes(KinematicsError):
     """The two position planes do not intersect in a line."""
 
 
-class NoIntersection(KinematicsError):
-    """The position line misses the sphere of squared radius w1."""
-
-
 class NotParameterizable(KinematicsError):
     """Null direction has (numerically) no w1 component; use arc length."""

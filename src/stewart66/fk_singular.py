@@ -4,7 +4,8 @@ On a conic the length system has rank five, so fixing the six lengths
 leaves a whole line of w vectors: particular + span(null direction).
 The sphere equation |P|^2 = w1 makes w1 the natural parameter along that
 line; each parameter value re-enters the nonsingular recovery and yields
-up to eight poses, all with identical leg lengths.
+up to eight poses, all with identical leg lengths.  sweep and the
+feasibility scan hand their whole grid to that recovery as one batch.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotParameterizable, ValidationError
-from .fk_nonsingular import FkSolution, solutions_from_w
-from .geometry import PlatformGeometry, build_q, factor_for_rank
+from .fk_nonsingular import SolutionArrays, solution_arrays, solutions_from_w
+from .geometry import (ConicReport, PlatformGeometry, build_q, conic_report,
+                       factor_for_rank)
 from .ik import d_from_lengths
 
 # Below this |n_1| the family cannot be indexed by w1; arc length instead.
@@ -36,6 +38,7 @@ class SingularSystem:
     null_dir: np.ndarray    # unit kernel vector
     parameterizable_by_w1: bool
     lengths: np.ndarray     # the leg lengths the system was built from
+    conic: ConicReport      # the base's rank test, from the same factorization
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,32 +60,36 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     below rank 5, Inconsistent when no pose realizes the lengths.
     """
     lengths = np.asarray(lengths, dtype=float)
-    f = factor_for_rank(build_q(geom.base), 5)
-    particular = linalg.solve(f, d_from_lengths(geom, lengths))
-    null_dir = linalg.null_vector(f)
+    q = build_q(geom.base)
+    f = factor_for_rank(q, 5)
+    conic = conic_report(q, f)
     return SingularSystem(
-        particular=particular,
-        null_dir=null_dir,
-        parameterizable_by_w1=bool(abs(null_dir[0]) > W1_COMPONENT_TOL),
+        particular=linalg.solve(f, d_from_lengths(geom, lengths)),
+        null_dir=conic.conic,
+        parameterizable_by_w1=bool(abs(conic.conic[0]) > W1_COMPONENT_TOL),
         lengths=lengths.copy(),
+        conic=conic,
     )
 
 
-def w_at(system: SingularSystem, w1: float) -> np.ndarray:
-    """The unique solution-line point whose first coordinate is w1."""
+def w_at(system: SingularSystem, w1) -> np.ndarray:
+    """The unique solution-line point whose first coordinate is w1: (6,) for
+    a number, (N, 6) for N values."""
     if not system.parameterizable_by_w1:
         raise NotParameterizable(
             "null direction has no w1 component; index the family by arc "
             "length (w_at_arc)")
-    if w1 < 0.0:
-        raise ValidationError(f"w1 is a squared position norm, must be >= 0, got {w1}")
+    if np.any(np.asarray(w1) < 0.0):
+        raise ValidationError(
+            f"w1 is a squared position norm, must be >= 0, got {np.min(w1)}")
     t = (w1 - system.particular[0]) / system.null_dir[0]
-    return system.particular + t * system.null_dir
+    return system.particular + np.multiply.outer(t, system.null_dir)
 
 
-def w_at_arc(system: SingularSystem, arc: float) -> np.ndarray:
-    """Solution-line point at signed arc length from the particular solution."""
-    return system.particular + arc * system.null_dir
+def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
+    """Solution-line point at signed arc length from the particular solution:
+    (6,) for a number, (N, 6) for N values."""
+    return system.particular + np.multiply.outer(arc, system.null_dir)
 
 
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
@@ -94,10 +101,21 @@ def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     return solutions
 
 
-def _pose_gap(a: FkSolution, b: FkSolution) -> float:
-    dq = np.linalg.norm(a.pose.orientation.as_array() - b.pose.orientation.as_array())
-    dp = np.linalg.norm(a.pose.position - b.pose.position)
-    return math.hypot(float(dq), float(dp))
+def _steps(batch: SolutionArrays) -> np.ndarray:
+    """Per row, the smallest pose gap hypot(|dq|, |dP|) to any pose of the
+    row before; nan where either row has no pose."""
+    q, p, ok = batch.orientations, batch.positions, batch.accepted
+    best = np.full(len(ok) - 1, np.inf)
+    # one previous (candidate, branch) slot at a time keeps the gaps at (N, 4, 2)
+    for k in range(4):
+        dq = q[1:] - q[:-1, k, None]
+        dq = np.sqrt((dq * dq).sum(axis=-1))[..., None]
+        for b in range(2):
+            dp = p[1:] - p[:-1, k, b, None, None]
+            gap = np.hypot(dq, np.sqrt((dp * dp).sum(axis=-1)))
+            gap = np.where(ok[1:] & ok[:-1, k, b, None, None], gap, np.inf)
+            best = np.minimum(best, gap.min(axis=(1, 2)))
+    return np.concatenate([[np.nan], np.where(np.isfinite(best), best, np.nan)])
 
 
 def sweep(system: SingularSystem, geom: PlatformGeometry,
@@ -116,21 +134,16 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     if system.parameterizable_by_w1 and w1_min < 0.0:
         raise ValidationError("w1 is a squared position norm, must be >= 0")
     locate = w_at if system.parameterizable_by_w1 else w_at_arc
+    grid = np.linspace(w1_min, w1_max, int(samples))
+    w = locate(system, grid)
+    batch = solution_arrays(geom, w, system.lengths)
     out = []
-    previous = None  # poses of the previous sample when it was feasible
-    for value in np.linspace(w1_min, w1_max, int(samples)):
-        w = locate(system, float(value))
-        try:
-            poses = tuple(recover_poses(geom, w, lengths=system.lengths))
-        except Infeasible:
-            poses = ()
+    for value, w_row, poses, step in zip(grid.tolist(), w, batch.solutions(),
+                                         _steps(batch).tolist()):
         feasible = bool(poses)
         residual = max(s.leg_residual for s in poses) if feasible else math.nan
-        step = None
-        if feasible and previous:
-            step = min(_pose_gap(a, b) for a in poses for b in previous)
-        out.append(SingularCurveSample(float(value), w, poses, feasible, residual, step))
-        previous = poses if feasible else None
+        out.append(SingularCurveSample(value, w_row, tuple(poses), feasible, residual,
+                                       None if math.isnan(step) else step))
     return out
 
 
@@ -143,14 +156,15 @@ def _feasible_at(system: SingularSystem, geom: PlatformGeometry, w1: float) -> b
 
 
 def _refine(system, geom, inside: float, outside: float) -> float:
-    # bisect a feasibility boundary between a feasible and an infeasible w1
+    # bisect a feasibility boundary between a feasible and an infeasible w1;
+    # the feasible end is returned, so every endpoint admits a pose
     while abs(outside - inside) > BISECT_TOL:
         mid = 0.5 * (inside + outside)
         if _feasible_at(system, geom, mid):
             inside = mid
         else:
             outside = mid
-    return 0.5 * (inside + outside)
+    return inside
 
 
 def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
@@ -165,7 +179,7 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     if not 0.0 < w1_hint_max < math.inf:
         raise ValidationError("w1_hint_max must be positive and finite")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
-    flags = [_feasible_at(system, geom, float(x)) for x in grid]
+    flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible.tolist()
     intervals = []
     i = 0
     while i < SCAN_POINTS:

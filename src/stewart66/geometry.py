@@ -99,7 +99,11 @@ def build_q(base) -> np.ndarray:
 def conic_check(base) -> ConicReport:
     """Rank-test the conic matrix; six points on any conic drop it to five."""
     q = build_q(base)
-    f = linalg.lu_factor(q)
+    return conic_report(q, linalg.lu_factor(q))
+
+
+def conic_report(q, f: linalg.Factorization) -> ConicReport:
+    """The rank test of conic matrix q read off its factorization f."""
     conic = linalg.null_vector(f) if f.rank == 5 else None
     return ConicReport(
         det_q=float(np.linalg.det(q)),

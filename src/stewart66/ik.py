@@ -30,7 +30,7 @@ class Pose:
         p = np.array(self.position, dtype=float)
         if p.shape != (3,):
             raise ValidationError(f"position must be a 3-vector, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValidationError("position must be finite")
         object.__setattr__(self, "position", p)
 
@@ -40,15 +40,17 @@ def _base3(geom: PlatformGeometry) -> np.ndarray:
     return np.column_stack([geom.base, np.zeros(6)])
 
 
-def leg_vectors(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
-    """Six leg vectors, row i = (mu*R*A - I) @ B_i + P."""
-    m = geom.mu * (to_matrix(pose.orientation) @ geom.top_transform) - np.eye(3)
-    return _base3(geom) @ m.T + pose.position
+def leg_vectors(geom: PlatformGeometry, ra, position) -> np.ndarray:
+    """Leg vectors (..., 6, 3), row i = (mu*R*A - I) @ B_i + P, for combined
+    rotations ra = R @ A (..., 3, 3) and plate positions P (..., 3)."""
+    m = geom.mu * np.asarray(ra, dtype=float) - np.eye(3)
+    return _base3(geom) @ np.swapaxes(m, -1, -2) + np.asarray(position, dtype=float)[..., None, :]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
     """Euclidean lengths of the six legs; DegenerateLeg if one collapses."""
-    lengths = np.linalg.norm(leg_vectors(geom, pose), axis=1)
+    ra = to_matrix(pose.orientation) @ geom.top_transform
+    lengths = np.linalg.norm(leg_vectors(geom, ra, pose.position), axis=-1)
     if np.any(lengths < MIN_LEG_LENGTH):
         raise DegenerateLeg(f"leg {int(np.argmin(lengths)) + 1} collapsed to zero length")
     return lengths

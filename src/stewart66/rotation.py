@@ -14,6 +14,7 @@ NORM_TOL = 1e-6
 # Drift below this is working precision already; renormalizing would shift
 # components by an ulp and break exact identities like q vs -q.
 RENORM_TOL = 1e-13
+LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -35,50 +36,71 @@ class Quaternion:
         return np.array([self.q0, self.q1, self.q2, self.q3])
 
 
+def _matrix_rows(q0, q1, q2, q3) -> list:
+    # one formula for floats and for arrays of components
+    t0, t1, t2 = 2 * q0, 2 * q1, 2 * q2
+    d = t0 * q0 - 1
+    return [
+        [d + t1 * q1, t1 * q2 - t0 * q3, t0 * q2 + t1 * q3],
+        [t1 * q2 + t0 * q3, d + t2 * q2, t2 * q3 - t0 * q1],
+        [t1 * q3 - t0 * q2, t0 * q1 + t2 * q3, d + 2 * q3 * q3],
+    ]
+
+
 def to_matrix(q: Quaternion) -> np.ndarray:
     """Rotation matrix of a unit quaternion (right handed, det +1)."""
     q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
-    return np.array([
-        [2 * q0 * q0 - 1 + 2 * q1 * q1, 2 * q1 * q2 - 2 * q0 * q3, 2 * q0 * q2 + 2 * q1 * q3],
-        [2 * q1 * q2 + 2 * q0 * q3, 2 * q0 * q0 - 1 + 2 * q2 * q2, 2 * q2 * q3 - 2 * q0 * q1],
-        [2 * q1 * q3 - 2 * q0 * q2, 2 * q0 * q1 + 2 * q2 * q3, 2 * q0 * q0 - 1 + 2 * q3 * q3],
-    ])
+    return np.array(_matrix_rows(q0, q1, q2, q3))
 
 
-def canonicalize(q: Quaternion) -> Quaternion:
-    """Pick the q0 >= 0 representative of {q, -q}; same rotation either way.
+def to_matrices(q) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternion components (..., 4)."""
+    q = np.asarray(q, dtype=float)
+    out = np.empty(q.shape[:-1] + (3, 3))
+    for i, row in enumerate(_matrix_rows(q[..., 0], q[..., 1], q[..., 2], q[..., 3])):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
-    An exactly zero q0 ties on the first nonzero component instead, so both
-    representatives of such a rotation collapse to the same value.
+
+def canonicalize(q) -> np.ndarray:
+    """Unit quaternion components (..., 4), renormalized like Quaternion and
+    with the first nonzero component positive: the q0 >= 0 representative
+    of {q, -q}, with an exactly zero q0 tied on the next component.
     """
-    for c in (q.q0, q.q1, q.q2, q.q3):
-        if c > 0.0:
-            return q
-        if c < 0.0:
-            # 0.0 - x instead of -x keeps zero components at +0.0
-            return Quaternion(0.0 - q.q0, 0.0 - q.q1, 0.0 - q.q2, 0.0 - q.q3)
-    raise NotUnit("zero quaternion has no canonical form")
+    q = np.array(q, dtype=float)
+    norm = np.sqrt(np.add.reduce(q * q, axis=-1))[..., None]
+    np.divide(q, norm, out=q, where=np.abs(norm - 1.0) > RENORM_TOL)
+    # 8*s0 outweighs 4*s1 + 2*s2 + s3, so the weighted sum of the signs has
+    # the sign of the first nonzero component
+    flip = (np.sign(q) @ LEAD_WEIGHTS < 0.0)[..., None]
+    # 0.0 - x instead of -x keeps zero components at +0.0
+    np.subtract(0.0, q, out=q, where=flip)
+    return q
 
 
-def from_matrix(r) -> Quaternion:
-    """Canonical quaternion of a rotation matrix; inverse of to_matrix."""
-    m = np.asarray(r, dtype=float)
+def from_matrices(m) -> np.ndarray:
+    """Canonical quaternions (..., 4) of rotation matrices (..., 3, 3); inverse
+    of to_matrices."""
+    m = np.asarray(m, dtype=float)
+    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    t = m00 + m11 + m22
     # Shepperd branching: divide by the largest of the four squared terms.
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    i = int(np.argmax([t, m[0, 0], m[1, 1], m[2, 2]]))
-    if i == 0:
-        s = 2.0 * math.sqrt(1.0 + t)
-        q = (s / 4, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s)
-    elif i == 1:
-        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        q = ((m[2, 1] - m[1, 2]) / s, s / 4, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
-    elif i == 2:
-        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, s / 4, (m[1, 2] + m[2, 1]) / s)
-    else:
-        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, s / 4)
-    return canonicalize(Quaternion(*q))
+    branch = np.argmax(np.stack([t, m00, m11, m22], axis=-1), axis=-1)
+    q = np.empty(m.shape[:-2] + (4,))
+    for i, diagonal, off in (
+            (0, 1.0 + t, (m21 - m12, m02 - m20, m10 - m01)),
+            (1, 1.0 + m00 - m11 - m22, (m21 - m12, m01 + m10, m02 + m20)),
+            (2, 1.0 + m11 - m00 - m22, (m02 - m20, m01 + m10, m12 + m21)),
+            (3, 1.0 + m22 - m00 - m11, (m10 - m01, m02 + m20, m12 + m21))):
+        sel = branch == i
+        s = 2.0 * np.sqrt(diagonal[sel])
+        parts = [x[sel] / s for x in off]
+        parts.insert(i, s / 4)
+        q[sel] = np.stack(parts, axis=-1)
+    return canonicalize(q)

@@ -48,6 +48,34 @@ def random_circle_base(rng):
             continue
 
 
+def random_ellipse_base(rng):
+    # six spread angles on an ellipse about the origin, axes turned at random
+    t = np.arange(6) * np.pi / 3 + rng.uniform(-0.4, 0.4, 6)
+    ax, ay = rng.uniform(0.6, 1.4, 2)
+    phi = rng.uniform(0.0, np.pi)
+    c, s = np.cos(phi), np.sin(phi)
+    return np.column_stack([ax * np.cos(t), ay * np.sin(t)]) @ np.array([[c, -s], [s, c]]).T
+
+
+def circle_through_origin_geometry():
+    t = np.array([0.3, 1.2, 2.2, 3.3, 4.2, 5.4])
+    base = np.column_stack([1.0 + np.cos(t), np.sin(t)])  # x^2 + y^2 - 2x = 0
+    return PlatformGeometry(base=base, mu=0.5)
+
+
+def seeded_conic_family(kind, seed):
+    """A conic-base platform and the leg lengths of a random pose on it.
+
+    kind is "circle", "ellipse" or "top_rotation" (a circle base with a
+    random top transform).
+    """
+    rng = np.random.default_rng(seed)
+    base = random_ellipse_base(rng) if kind == "ellipse" else random_circle_base(rng)
+    top = random_rotation(rng) if kind == "top_rotation" else None
+    geom = PlatformGeometry(base=base, mu=rng.uniform(0.2, 0.8), top_transform=top)
+    return geom, leg_lengths(geom, random_feasible_pose(geom, rng))
+
+
 def random_generic_base(rng, noise=0.1):
     # hexagon plus noise, redrawn until clearly off every conic
     while True:

@@ -1,0 +1,138 @@
+"""One-sample-at-a-time reference for the batched recovery.
+
+The package recovers poses for N w vectors at once (fk_nonsingular.
+solution_arrays).  This module keeps the loop form of the same route, one
+w vector, one rotation candidate and one sphere point at a time, so the
+tests can hold the batched kernel to it.  It is test code only.
+"""
+
+import math
+
+import numpy as np
+
+from stewart66.errors import DegenerateLeg, Infeasible
+from stewart66.fk_nonsingular import (CLAMP_TOL, DEDUP_TOL, PLANE_TOL,
+                                      RESIDUAL_TOL, TANGENT_EPS, UNIT_TOL)
+from stewart66.ik import Pose, leg_lengths
+from stewart66.rotation import Quaternion, to_matrix
+
+
+def canonical(q):
+    for c in (q.q0, q.q1, q.q2, q.q3):
+        if c > 0.0:
+            return q
+        if c < 0.0:
+            return Quaternion(0.0 - q.q0, 0.0 - q.q1, 0.0 - q.q2, 0.0 - q.q3)
+    raise AssertionError("zero quaternion")
+
+
+def from_matrix(m):
+    t = m[0, 0] + m[1, 1] + m[2, 2]
+    i = int(np.argmax([t, m[0, 0], m[1, 1], m[2, 2]]))
+    if i == 0:
+        s = 2.0 * math.sqrt(1.0 + t)
+        q = (s / 4, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s)
+    elif i == 1:
+        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
+        q = ((m[2, 1] - m[1, 2]) / s, s / 4, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
+    elif i == 2:
+        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
+        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, s / 4, (m[1, 2] + m[2, 1]) / s)
+    else:
+        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
+        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, s / 4)
+    return canonical(Quaternion(*q))
+
+
+def clamped_sqrt(value, scale):
+    if value < -CLAMP_TOL:
+        raise Infeasible("negative squared component")
+    if value <= 8.0 * np.finfo(float).eps * scale:
+        return 0.0
+    return math.sqrt(value)
+
+
+def quaternions(w, mu):
+    w4, w5, w6 = float(w[3]), float(w[4]), float(w[5])
+    alpha = (w4 - w6) / (4.0 * mu)
+    beta = -w5 / (8.0 * mu)
+    gamma = math.hypot(alpha, 2.0 * beta)
+    scale = 1.0 + (abs(w4) + abs(w5) + abs(w6)) / (4.0 * mu) + gamma
+    q1 = clamped_sqrt((gamma - alpha) / 2.0, scale)
+    q2 = clamped_sqrt((gamma + alpha) / 2.0, scale)
+    q3 = clamped_sqrt(0.5 + w4 / (4.0 * mu) - (alpha + gamma) / 2.0, scale)
+    q0 = clamped_sqrt(0.5 - w4 / (4.0 * mu) + (alpha - gamma) / 2.0, scale)
+    if abs(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 - 1.0) > UNIT_TOL:
+        raise Infeasible("no unit quaternion")
+    if max(q1, q2) > 1e-12:
+        if q1 <= q2:
+            q1 = abs(beta) / q2
+        else:
+            q2 = abs(beta) / q1
+    if beta < 0.0:
+        q1 = -q1
+    out = []
+    for s12, s3 in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        cand = canonical(Quaternion(q0, s12 * q1 + 0.0, s12 * q2 + 0.0, s3 * q3 + 0.0))
+        if all(np.linalg.norm(cand.as_array() - kept.as_array()) > DEDUP_TOL for kept in out):
+            out.append(cand)
+    return out
+
+
+def sphere_points(w, q, geom):
+    m = geom.mu * (to_matrix(q) @ geom.top_transform) - np.eye(3)
+    u, v = 2.0 * m[:, 0], 2.0 * m[:, 1]
+    cr = np.cross(u, v)
+    norm_cr = float(np.linalg.norm(cr))
+    assert norm_cr >= PLANE_TOL
+    uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
+    w1, w2, w3 = float(w[0]), float(w[1]), float(w[2])
+    r0 = ((vv * w2 - uv * w3) * u + (uu * w3 - uv * w2) * v) / (uu * vv - uv * uv)
+    chord2 = w1 - float(r0 @ r0)
+    if chord2 < -TANGENT_EPS:
+        return []
+    if chord2 <= TANGENT_EPS:
+        return [(r0, 0)]
+    t = math.sqrt(chord2)
+    return [(r0 + t * cr / norm_cr, 1), (r0 - t * cr / norm_cr, -1)]
+
+
+def solutions(geom, w, lengths):
+    """[(rotation_index, position_sign, pose, residual)]; Infeasible when no
+    rotation fits."""
+    lengths = np.asarray(lengths, dtype=float)
+    tol = RESIDUAL_TOL * (1.0 + float(lengths.max()))
+    out = []
+    for index, cand in enumerate(quaternions(w, geom.mu), start=1):
+        plate = cand
+        if not np.array_equal(geom.top_transform, np.eye(3)):
+            plate = from_matrix(to_matrix(cand) @ geom.top_transform.T)
+        for point, sign in sphere_points(w, plate, geom):
+            pose = Pose(plate, point)
+            try:
+                residual = float(np.max(np.abs(leg_lengths(geom, pose) - lengths)))
+            except DegenerateLeg:
+                continue
+            if residual <= tol:
+                out.append((index, sign, pose, residual))
+    return out
+
+
+def feasible(geom, w, lengths):
+    try:
+        return bool(solutions(geom, w, lengths))
+    except Infeasible:
+        return False
+
+
+def pose_gap(a, b):
+    dq = np.linalg.norm(a.orientation.as_array() - b.orientation.as_array())
+    dp = np.linalg.norm(a.position - b.position)
+    return math.hypot(float(dq), float(dp))
+
+
+def step(poses, previous):
+    """Nearest-pose gap between two samples' pose lists, or None."""
+    if not poses or not previous:
+        return None
+    return min(pose_gap(a, b) for a in poses for b in previous)

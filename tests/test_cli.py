@@ -141,6 +141,15 @@ def test_fk_factors_the_base_once(perturbed_geom, perturbed_legs, monkeypatch, c
     assert len(calls) == 1
 
 
+def test_sweep_factors_the_base_once(hex_geom, resting_legs, tmp_path, monkeypatch, capsys):
+    calls, factor = [], linalg.lu_factor
+    monkeypatch.setattr(linalg, "lu_factor", lambda m: calls.append(m) or factor(m))
+    assert main(["sweep", "--geom", hex_geom, "--legs", resting_legs, "--w1-min", "0",
+                 "--w1-max", "1", "--samples", "5", "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["conic"]["rank"] == 5
+
+
 def test_fk_impossible_lengths_exit_3(perturbed_geom, tmp_path, capsys):
     legs = write(tmp_path / "huge.json", {"L": [10.0] * 6})
     assert main(["fk", "--geom", perturbed_geom, "--legs", legs]) == 3

@@ -5,14 +5,30 @@ import pytest
 
 from helpers import (collinear_base, hexagon_base, pose_gap,
                      random_feasible_pose, random_generic_base, random_rotation)
-from stewart66.errors import (DegenerateBase, Infeasible, NoIntersection,
-                              SingularBase)
-from stewart66.fk_nonsingular import fk_solve, position_from_w, quaternions_from_w
+from stewart66.errors import DegenerateBase, Infeasible, SingularBase
+from stewart66.fk_nonsingular import (fk_solve, rotation_candidates,
+                                      solution_arrays, solutions_from_w,
+                                      sphere_points)
 from stewart66.geometry import PlatformGeometry
 from stewart66.ik import Pose, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
+
+
+def candidates(w, mu):
+    """Rotation stage on a batch of one: (arrays, the row's candidate list)."""
+    c = rotation_candidates(np.asarray(w, dtype=float)[None], mu)
+    if not c.fits[0]:
+        raise Infeasible(c.failure(0))
+    return c, [Quaternion(*q) for q in c.quaternions[0, c.kept[0]]]
+
+
+def points(w, q, geom):
+    """Sphere stage for one candidate: [(P, sign)], + before -."""
+    ra = to_matrix(q) @ geom.top_transform
+    pts, signs, hit = sphere_points(np.asarray(w, dtype=float)[None], ra[None, None], geom.mu)
+    return [(pts[0, 0, b], int(signs[0, 0, b])) for b in range(2) if hit[0, 0, b]]
 
 
 @pytest.mark.parametrize("base, error", [
@@ -26,17 +42,17 @@ def test_fk_solve_refuses_rank_deficient_base(base, error):
 
 
 def test_identity_w_gives_single_candidate():
-    cands = quaternions_from_w(np.array([1.0, 0, 0, -1, 0, -1]), 0.5)
-    assert (cands.alpha, cands.beta, cands.gamma) == (0.0, 0.0, 0.0)
-    assert len(cands.quaternions) == 1
-    q = cands.quaternions[0]
+    cands, qs = candidates([1.0, 0, 0, -1, 0, -1], 0.5)
+    assert (cands.alpha[0], cands.beta[0], cands.gamma[0]) == (0.0, 0.0, 0.0)
+    assert len(qs) == 1
+    q = qs[0]
     assert (q.q0, q.q1, q.q2, q.q3) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_zero_rotation_block_gives_quarter_turn_pair():
-    cands = quaternions_from_w(np.zeros(6), 0.5)
-    assert len(cands.quaternions) == 2
-    for q, sign in zip(cands.quaternions, (1.0, -1.0)):
+    _, qs = candidates(np.zeros(6), 0.5)
+    assert len(qs) == 2
+    for q, sign in zip(qs, (1.0, -1.0)):
         assert q.q0 == pytest.approx(ROOT_HALF, abs=1e-12)
         assert q.q3 == pytest.approx(sign * ROOT_HALF, abs=1e-12)
         assert q.q1 == q.q2 == 0.0
@@ -44,10 +60,10 @@ def test_zero_rotation_block_gives_quarter_turn_pair():
 
 def test_half_turn_about_x():
     w = np.array([0.0, 0, 0, -1.0, 0, 1.0])
-    cands = quaternions_from_w(w, 0.5)
-    assert (cands.alpha, cands.gamma) == (-1.0, 1.0)
-    assert len(cands.quaternions) == 1
-    q = cands.quaternions[0]
+    cands, qs = candidates(w, 0.5)
+    assert (cands.alpha[0], cands.gamma[0]) == (-1.0, 1.0)
+    assert len(qs) == 1
+    q = qs[0]
     assert (q.q0, q.q1, q.q2, q.q3) == (0.0, 1.0, 0.0, 0.0)
     # the candidate reproduces the defining rotation-block entries
     r = to_matrix(q)
@@ -55,10 +71,13 @@ def test_half_turn_about_x():
     assert -2 * 0.5 * r[1, 1] == pytest.approx(w[5], abs=1e-12)
 
 
-def test_out_of_range_rotation_block_is_infeasible():
+def test_out_of_range_rotation_block_is_infeasible(hexagon_geometry):
     # w4 beyond 2*mu forces q0^2 or q3^2 negative
-    with pytest.raises(Infeasible):
-        quaternions_from_w(np.array([1.0, 0, 0, -3.0, 0, 0.5]), 0.5)
+    w = np.array([1.0, 0, 0, -3.0, 0, 0.5])
+    cands = rotation_candidates(w[None], 0.5)
+    assert not cands.fits[0] and not cands.kept.any()
+    with pytest.raises(Infeasible, match=r"q3\^2 would be -1 < 0"):
+        solutions_from_w(hexagon_geometry, w, np.ones(6))
 
 
 def test_candidates_reproduce_rotation_block(rng):
@@ -66,15 +85,15 @@ def test_candidates_reproduce_rotation_block(rng):
         mu = rng.uniform(0.1, 0.9)
         geom = PlatformGeometry(base=random_generic_base(rng), mu=mu)
         w = w_from_pose(geom, random_feasible_pose(geom, rng))
-        cands = quaternions_from_w(w, mu)
-        assert 1 <= len(cands.quaternions) <= 4
-        assert cands.gamma >= abs(cands.alpha) >= 0.0
-        for q in cands.quaternions:
+        cands, qs = candidates(w, mu)
+        assert 1 <= len(qs) <= 4
+        assert cands.gamma[0] >= abs(cands.alpha[0]) >= 0.0
+        for q in qs:
             r = to_matrix(q)
             assert abs(-2 * mu * r[0, 0] - w[3]) <= 1e-8
             assert abs(-2 * mu * (r[0, 1] + r[1, 0]) - w[4]) <= 1e-8
             assert abs(-2 * mu * r[1, 1] - w[5]) <= 1e-8
-        arrays = [q.as_array() for q in cands.quaternions]
+        arrays = [q.as_array() for q in qs]
         for i in range(len(arrays)):
             for j in range(i + 1, len(arrays)):
                 assert np.linalg.norm(arrays[i] - arrays[j]) > 1e-9
@@ -82,21 +101,19 @@ def test_candidates_reproduce_rotation_block(rng):
 
 def test_degenerate_candidates_deduplicate():
     # q1 = q2 = 0 collapses the sign flips pairwise
-    cands = quaternions_from_w(np.array([1.0, 0, 0, -0.5, 0, -0.5]), 0.5)
-    assert len(cands.quaternions) == 2
+    _, qs = candidates([1.0, 0, 0, -0.5, 0, -0.5], 0.5)
+    assert len(qs) == 2
 
 
 def test_position_two_points(hexagon_geometry):
-    pts = position_from_w(np.array([1.0, 0, 0, -1, 0, -1]),
-                          Quaternion(1, 0, 0, 0), hexagon_geometry)
+    pts = points([1.0, 0, 0, -1, 0, -1], Quaternion(1, 0, 0, 0), hexagon_geometry)
     assert [sign for _, sign in pts] == [1, -1]
     assert np.allclose(pts[0][0], [0, 0, 1])
     assert np.allclose(pts[1][0], [0, 0, -1])
 
 
 def test_position_tangency(hexagon_geometry):
-    pts = position_from_w(np.array([0.0, 0, 0, -1, 0, -1]),
-                          Quaternion(1, 0, 0, 0), hexagon_geometry)
+    pts = points([0.0, 0, 0, -1, 0, -1], Quaternion(1, 0, 0, 0), hexagon_geometry)
     assert len(pts) == 1
     point, sign = pts[0]
     assert sign == 0
@@ -104,9 +121,7 @@ def test_position_tangency(hexagon_geometry):
 
 
 def test_position_no_intersection(hexagon_geometry):
-    with pytest.raises(NoIntersection):
-        position_from_w(np.array([-0.5, 0, 0, -1, 0, -1]),
-                        Quaternion(1, 0, 0, 0), hexagon_geometry)
+    assert points([-0.5, 0, 0, -1, 0, -1], Quaternion(1, 0, 0, 0), hexagon_geometry) == []
 
 
 def test_position_satisfies_planes_and_sphere(rng):
@@ -117,7 +132,7 @@ def test_position_satisfies_planes_and_sphere(rng):
         ra = to_matrix(pose.orientation) @ geom.top_transform
         m = geom.mu * ra - np.eye(3)
         u, v = 2.0 * m[:, 0], 2.0 * m[:, 1]
-        for point, _ in position_from_w(w, pose.orientation, geom):
+        for point, _ in points(w, pose.orientation, geom):
             assert abs(u @ point - w[1]) <= 1e-8
             assert abs(v @ point - w[2]) <= 1e-8
             assert abs(point @ point - w[0]) <= 1e-8
@@ -145,6 +160,19 @@ def test_fk_recovers_pose_with_small_quaternion_component(perturbed_geometry, q2
     pose = Pose(Quaternion(*(v / np.linalg.norm(v))), np.array([0.1, -0.2, 0.9]))
     sols = fk_solve(perturbed_geometry, leg_lengths(perturbed_geometry, pose))
     assert min(pose_gap(s.pose, pose) for s in sols) <= 1e-10
+
+
+def test_audit_rejects_points_off_the_lengths(perturbed_geometry, rng):
+    # w fixes rotations and points; only the leg-length audit sees the lengths
+    pose = random_feasible_pose(perturbed_geometry, rng)
+    w = w_from_pose(perturbed_geometry, pose)[None]
+    lengths = leg_lengths(perturbed_geometry, pose)
+    exact = solution_arrays(perturbed_geometry, w, lengths)
+    off = solution_arrays(perturbed_geometry, w, lengths * (1.0 + 1e-6))
+    assert exact.accepted.any()
+    assert np.array_equal(off.positions, exact.positions)
+    assert not off.accepted.any()
+    assert solutions_from_w(perturbed_geometry, w[0], lengths * (1.0 + 1e-6)) == []
 
 
 def test_fk_impossible_lengths(perturbed_geometry):
@@ -195,12 +223,9 @@ def test_fk_no_spurious_solutions_for_inflated_lengths(perturbed_geometry, rng):
 def test_random_w_vectors_never_yield_bad_candidates(rng):
     # arbitrary rotation-block data either raises Infeasible or produces
     # unit candidates; no silent garbage
-    for _ in range(200):
-        w = rng.uniform(-2, 2, 6)
-        try:
-            cands = quaternions_from_w(w, 0.5)
-        except Infeasible:
-            continue
-        for q in cands.quaternions:
-            assert abs(np.linalg.norm(q.as_array()) - 1.0) <= 1e-6
-            assert q.q0 >= 0.0
+    cands = rotation_candidates(rng.uniform(-2, 2, (200, 6)), 0.5)
+    assert cands.fits.any() and not cands.fits.all()
+    assert not cands.kept[~cands.fits].any()
+    q = cands.quaternions[cands.kept]
+    assert np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-6)
+    assert np.all(q[:, 0] >= 0.0)

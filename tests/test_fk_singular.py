@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (CIRCLE_COEFFS, collinear_base, pose_gap,
-                     perturbed_hexagon_base, random_circle_base,
-                     random_feasible_pose, random_rotation)
+from helpers import (CIRCLE_COEFFS, circle_through_origin_geometry,
+                     collinear_base, pose_gap, perturbed_hexagon_base,
+                     random_circle_base, random_feasible_pose, random_rotation,
+                     seeded_conic_family)
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible,
                               NotParameterizable, ValidationError, WrongRank)
 from stewart66.fk_singular import (build_singular_system, feasible_interval,
@@ -205,17 +206,24 @@ def test_feasible_interval_contains_seed_at_origin(hexagon_geometry):
     assert any(lo - 1e-9 <= 0.0 <= hi + 1e-9 for lo, hi in intervals)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["circle", "ellipse"])
+def test_interval_endpoints_admit_poses(kind, seed):
+    # the bisection returns the feasible end of its last bracket
+    geom, lengths = seeded_conic_family(kind, seed)
+    system = build_singular_system(geom, lengths)
+    intervals = feasible_interval(system, geom, 4.0)
+    assert intervals
+    for lo, hi in intervals:
+        for w1 in (lo, hi):
+            assert recover_poses(geom, w_at(system, w1), lengths)
+
+
 def test_interval_hint_must_be_positive(resting_system, hexagon_geometry):
     with pytest.raises(ValidationError):
         feasible_interval(resting_system, hexagon_geometry, 0.0)
     with pytest.raises(ValidationError):
         feasible_interval(resting_system, hexagon_geometry, math.inf)
-
-
-def circle_through_origin_geometry():
-    t = np.array([0.3, 1.2, 2.2, 3.3, 4.2, 5.4])
-    base = np.column_stack([1.0 + np.cos(t), np.sin(t)])  # x^2 + y^2 - 2x = 0
-    return PlatformGeometry(base=base, mu=0.5)
 
 
 def test_conic_without_constant_term_is_not_w1_parameterizable():

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stewart66.errors import NotUnit
-from stewart66.rotation import Quaternion, canonicalize, from_matrix, to_matrix
+from stewart66.rotation import (Quaternion, canonicalize, from_matrices, to_matrices,
+                                to_matrix)
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -62,31 +63,45 @@ def test_to_matrix_checks_norm():
 
 
 def test_canonicalize_flips_negative_q0():
-    q = canonicalize(Quaternion(-1, 0, 0, 0))
-    assert (q.q0, q.q1, q.q2, q.q3) == (1, 0, 0, 0)
+    assert canonicalize([-1.0, 0, 0, 0]).tolist() == [1, 0, 0, 0]
 
 
 def test_canonicalize_keeps_nonnegative_q0():
-    q = Quaternion(0.5, 0.5, 0.5, 0.5)
-    assert canonicalize(q) is q
+    q = np.array([0.5, 0.5, 0.5, 0.5])
+    assert np.array_equal(canonicalize(q), q)
 
 
 def test_canonicalize_double_cover():
     a = Quaternion(-0.5, 0.5, 0.5, 0.5)
-    b = canonicalize(a)
+    b = Quaternion(*canonicalize(a.as_array()))
     assert (b.q0, b.q1, b.q2, b.q3) == (0.5, -0.5, -0.5, -0.5)
     assert np.array_equal(to_matrix(a), to_matrix(b))
 
 
 def test_canonicalize_breaks_zero_q0_tie():
-    q = canonicalize(Quaternion(0, -1, 0, 0))
-    assert (q.q0, q.q1, q.q2, q.q3) == (0, 1, 0, 0)
+    q = canonicalize([[0.0, -1, 0, 0], [0.0, 0, 0, -1]])
+    assert q.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
+    assert str(q[0, 0]) == "0.0"  # no -0.0 left behind
+
+
+def test_array_forms_match_one_quaternion_at_a_time():
+    # identity, then half turns about x, y and z: one per Shepperd branch
+    qs = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0],
+                   [0.3, -0.1, 0.9, 0.2], [0.1, 0.7, -0.2, 0.6]])
+    qs = qs / np.linalg.norm(qs, axis=1, keepdims=True)
+    mats = to_matrices(qs)
+    assert mats.shape == (6, 3, 3)
+    for q, m in zip(qs, mats):
+        assert np.array_equal(m, to_matrix(Quaternion(*q)))
+    back = from_matrices(mats.reshape(2, 3, 3, 3)).reshape(6, 4)
+    assert np.max(np.abs(back - canonicalize(qs))) <= 1e-15
+    assert np.array_equal(back[4], from_matrices(mats[4]))
 
 
 @given(unit_quaternions)
 def test_from_matrix_round_trip(q):
-    qc = canonicalize(q)
-    back = from_matrix(to_matrix(qc))
+    qc = Quaternion(*canonicalize(q.as_array()))
+    back = Quaternion(*from_matrices(to_matrix(qc)))
     # q0 within noise of zero can legitimately flip the canonical sign
     gap = min(np.max(np.abs(back.as_array() - qc.as_array())),
               np.max(np.abs(back.as_array() + qc.as_array())))
