@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, ParallelPlanes
+from .errors import Infeasible, ParallelPlanes, ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
-from .ik import MIN_LEG_LENGTH, Pose, d_from_lengths, leg_vectors
-from .rotation import Quaternion, canonicalize, from_matrices, to_matrices
+from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
+from .rotation import RENORM_TOL, Quaternion, canonicalize, from_matrices, to_matrices
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
@@ -104,20 +104,58 @@ class SolutionArrays:
         return self.accepted.any(axis=(1, 2))
 
     def solutions(self) -> list:
-        """One list of FkSolution per row, ordered by (candidate, + before -)."""
-        index = np.cumsum(self.rotations.kept, axis=1)
-        rows = [[] for _ in range(len(self.accepted))]
-        previous = None
-        for row, slot, branch in zip(*(x.tolist() for x in np.nonzero(self.accepted))):
-            if (row, slot) != previous:
-                # both branches of a candidate share its plate orientation
-                plate = Quaternion(*self.orientations[row, slot].tolist())
-                previous = (row, slot)
-            pose = Pose(plate, self.positions[row, slot, branch])
-            rows[row].append(FkSolution(pose, int(index[row, slot]),
-                                        int(self.signs[row, slot, branch]),
-                                        float(self.residuals[row, slot, branch])))
-        return rows
+        """One list of FkSolution per row, ordered by (candidate, + before -).
+
+        The accepted points are gathered and checked as one batch against
+        what Pose and Quaternion require; the objects are then built
+        without repeating those checks one object at a time.
+        """
+        rows, slots, branches = np.nonzero(self.accepted)
+        plates = self.orientations[rows, slots]
+        positions = self.positions[rows, slots, branches]
+        if not np.isfinite(positions).all():
+            raise ValidationError("position must be finite")
+        off = np.abs(np.sqrt(np.add.reduce(plates * plates, axis=1)) - 1.0)
+        plates = plates.tolist()
+        # canonicalize has renormalized every candidate, so Quaternion would
+        # keep each as it is; any that is not (NaN included) takes the
+        # constructor's own check and renormalization.  The half margin
+        # covers the ulp by which x*x here and x**2 there can differ.
+        if not (off <= 0.5 * RENORM_TOL).all():
+            plates = [Quaternion(*q).as_array().tolist() for q in plates]
+        index = np.cumsum(self.rotations.kept, axis=1)[rows, slots]
+        return _unchecked_solutions(
+            len(self.accepted), rows.tolist(), slots.tolist(), plates, list(positions),
+            index.tolist(), self.signs[rows, slots, branches].tolist(),
+            self.residuals[rows, slots, branches].tolist())
+
+
+def _unchecked_solutions(n, rows, slots, plates, positions, index, signs, residuals) -> list:
+    """Per-row lists of FkSolution for n rows, from values that
+    SolutionArrays.solutions has checked.
+
+    Quaternion and Pose are built without __init__, so their __post_init__
+    checks are not repeated per object; fields are set one at a time, as
+    the dataclass __init__ sets them.  Both branches of a candidate share
+    one Quaternion.
+    """
+    new, set_field = object.__new__, object.__setattr__
+    out = [[] for _ in range(n)]
+    previous = None
+    for row, slot, (q0, q1, q2, q3), position, k, sign, residual in zip(
+            rows, slots, plates, positions, index, signs, residuals):
+        if (row, slot) != previous:
+            plate = new(Quaternion)
+            set_field(plate, "q0", q0)
+            set_field(plate, "q1", q1)
+            set_field(plate, "q2", q2)
+            set_field(plate, "q3", q3)
+            previous = (row, slot)
+        pose = new(Pose)
+        set_field(pose, "orientation", plate)
+        set_field(pose, "position", position)
+        out[row].append(FkSolution(pose, k, sign, residual))
+    return out
 
 
 def _dot(a, b) -> np.ndarray:
@@ -274,11 +312,12 @@ def fk_solve(geom: PlatformGeometry, lengths) -> list:
     """All isolated poses reproducing the leg lengths; at most eight.
 
     Ordered by (rotation candidate, sphere branch + before -).  Raises
+    ValidationError unless the lengths are six positive finite numbers,
     SingularBase on a conic base, DegenerateBase below rank 5, and
     Infeasible when the solved w admits no rotation at all; an empty list
     means rotations exist but no position reproduces the lengths.
     """
-    lengths = np.asarray(lengths, dtype=float)
+    lengths = check_lengths(lengths)
     f = factor_for_rank(build_q(geom.base), 6)
     w = linalg.solve(f, d_from_lengths(geom, lengths))
     return solutions_from_w(geom, w, lengths)

@@ -5,12 +5,15 @@ leaves a whole line of w vectors: particular + span(null direction).
 The sphere equation |P|^2 = w1 makes w1 the natural parameter along that
 line; each parameter value re-enters the nonsingular recovery and yields
 up to eight poses, all with identical leg lengths.  sweep and the
-feasibility scan hand their whole grid to that recovery as one batch.
+feasibility scan hand their whole grid to that recovery as one batch;
+the bisection of the scan's flips evaluates several steps of every
+bracket per batch.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,13 +24,15 @@ from .errors import Infeasible, NotParameterizable, ValidationError
 from .fk_nonsingular import SolutionArrays, solution_arrays, solutions_from_w
 from .geometry import (ConicReport, PlatformGeometry, build_q, conic_report,
                        factor_for_rank)
-from .ik import d_from_lengths
+from .ik import check_lengths, d_from_lengths
 
 # Below this |n_1| the family cannot be indexed by w1; arc length instead.
 W1_COMPONENT_TOL = 1e-8
 
 SCAN_POINTS = 1000
 BISECT_TOL = 1e-9
+# Bisection steps per batched evaluation: 2**5 - 1 = 31 midpoints a bracket.
+BISECT_LEVELS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +61,11 @@ class SingularCurveSample:
 def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     """Particular solution plus null direction of the rank-5 length system.
 
+    ValidationError unless the lengths are six positive finite numbers,
     WrongRank when the base is off every conic (rank 6), DegenerateBase
     below rank 5, Inconsistent when no pose realizes the lengths.
     """
-    lengths = np.asarray(lengths, dtype=float)
+    lengths = check_lengths(lengths)
     q = build_q(geom.base)
     f = factor_for_rank(q, 5)
     conic = conic_report(q, f)
@@ -94,8 +100,9 @@ def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
 
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     """Poses at one point of the family, audited against the leg lengths;
-    Infeasible when there are none."""
-    solutions = solutions_from_w(geom, np.asarray(w, dtype=float), lengths)
+    Infeasible when there are none, ValidationError on lengths that are
+    not six positive finite numbers."""
+    solutions = solutions_from_w(geom, np.asarray(w, dtype=float), check_lengths(lengths))
     if not solutions:
         raise Infeasible("no pose branch reproduces the leg lengths at this parameter")
     return solutions
@@ -127,43 +134,67 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     """
     if not (math.isfinite(w1_min) and math.isfinite(w1_max)):
         raise ValidationError("sweep bounds must be finite")
-    if int(samples) < 2:
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        raise ValidationError(f"sample count must be an integer, got {samples!r}") from None
+    if count < 2:
         raise ValidationError(f"need at least 2 samples, got {samples}")
     if not w1_max > w1_min:
         raise ValidationError("w1_max must exceed w1_min")
     if system.parameterizable_by_w1 and w1_min < 0.0:
         raise ValidationError("w1 is a squared position norm, must be >= 0")
     locate = w_at if system.parameterizable_by_w1 else w_at_arc
-    grid = np.linspace(w1_min, w1_max, int(samples))
+    grid = np.linspace(w1_min, w1_max, count)
     w = locate(system, grid)
     batch = solution_arrays(geom, w, system.lengths)
-    out = []
-    for value, w_row, poses, step in zip(grid.tolist(), w, batch.solutions(),
-                                         _steps(batch).tolist()):
-        feasible = bool(poses)
-        residual = max(s.leg_residual for s in poses) if feasible else math.nan
-        out.append(SingularCurveSample(value, w_row, tuple(poses), feasible, residual,
-                                       None if math.isnan(step) else step))
-    return out
+    feasible = batch.feasible
+    residual = np.where(batch.accepted, batch.residuals, -np.inf).max(axis=(1, 2))
+    residual[~feasible] = np.nan
+    return [SingularCurveSample(value, w_row, tuple(poses), ok, worst,
+                                None if math.isnan(step) else step)
+            for value, w_row, poses, ok, worst, step in zip(
+                grid.tolist(), w, batch.solutions(), feasible.tolist(), residual.tolist(),
+                _steps(batch).tolist())]
 
 
-def _feasible_at(system: SingularSystem, geom: PlatformGeometry, w1: float) -> bool:
-    try:
-        recover_poses(geom, w_at(system, w1), lengths=system.lengths)
-    except Infeasible:
-        return False
-    return True
+def _bisect(system: SingularSystem, geom: PlatformGeometry, brackets) -> list:
+    """The feasible end of each (inside, outside) w1 bracket, bisected to
+    BISECT_TOL.
 
-
-def _refine(system, geom, inside: float, outside: float) -> float:
-    # bisect a feasibility boundary between a feasible and an infeasible w1;
-    # the feasible end is returned, so every endpoint admits a pose
-    while abs(outside - inside) > BISECT_TOL:
-        mid = 0.5 * (inside + outside)
-        if _feasible_at(system, geom, mid):
-            inside = mid
-        else:
-            outside = mid
+    Each round evaluates, for every open bracket at once, the midpoints of
+    the next BISECT_LEVELS bisection steps down both branches (a complete
+    binary tree in heap order: node h has children 2h+1 on the infeasible
+    and 2h+2 on the feasible side), in one solution_arrays call.  The walk
+    down each tree then takes the steps one-point bisection takes, with the
+    same midpoints, so the ends are the same to the bit.
+    """
+    inside = [a for a, _ in brackets]
+    outside = [b for _, b in brackets]
+    open_ = [i for i in range(len(inside)) if abs(outside[i] - inside[i]) > BISECT_TOL]
+    while open_:
+        ins = np.array([inside[i] for i in open_])[:, None]
+        outs = np.array([outside[i] for i in open_])[:, None]
+        levels = []
+        for _ in range(BISECT_LEVELS):
+            mid = 0.5 * (ins + outs)
+            levels.append(mid)
+            # children (ins, mid) if mid is infeasible, (mid, outs) if feasible
+            ins = np.stack([ins, mid], axis=-1).reshape(len(open_), -1)
+            outs = np.stack([mid, outs], axis=-1).reshape(len(open_), -1)
+        mids = np.concatenate(levels, axis=1)
+        flags = solution_arrays(geom, w_at(system, mids.ravel()),
+                                system.lengths).feasible.reshape(mids.shape).tolist()
+        for i, tree, ok in zip(open_, mids.tolist(), flags):
+            h = 0
+            for _ in range(BISECT_LEVELS):
+                if not abs(outside[i] - inside[i]) > BISECT_TOL:
+                    break
+                if ok[h]:
+                    inside[i], h = tree[h], 2 * h + 2
+                else:
+                    outside[i], h = tree[h], 2 * h + 1
+        open_ = [i for i in open_ if abs(outside[i] - inside[i]) > BISECT_TOL]
     return inside
 
 
@@ -172,26 +203,23 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     """Disjoint closed w1 intervals in [0, hint] where poses exist.
 
     Dense scan plus bisection of the flips; reports what the scan finds
-    without claiming the family has no branches beyond the hint.
+    without claiming the family has no branches beyond the hint.  Every
+    endpoint inside (0, hint) is the feasible end of its last bisection
+    bracket, so it admits a pose.
     """
     if not system.parameterizable_by_w1:
         raise NotParameterizable("family is not indexed by w1")
     if not 0.0 < w1_hint_max < math.inf:
         raise ValidationError("w1_hint_max must be positive and finite")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
-    flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible.tolist()
-    intervals = []
-    i = 0
-    while i < SCAN_POINTS:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < SCAN_POINTS and flags[j + 1]:
-            j += 1
-        lo = float(grid[i]) if i == 0 else _refine(system, geom, float(grid[i]), float(grid[i - 1]))
-        hi = (float(grid[j]) if j == SCAN_POINTS - 1
-              else _refine(system, geom, float(grid[j]), float(grid[j + 1])))
-        intervals.append((lo, hi))
-        i = j + 1
-    return intervals
+    flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
+    # runs of feasible scan points: run k spans edges[2k] to edges[2k+1] - 1
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False)).tolist()
+    # each end as (feasible point, infeasible neighbour), scan indices
+    ends = [(i, i - 1) if k % 2 == 0 else (i - 1, i) for k, i in enumerate(edges)]
+    g = grid.tolist()
+    refined = iter(_bisect(system, geom, [(g[a], g[b]) for a, b in ends
+                                          if 0 <= b < SCAN_POINTS]))
+    # an end with no neighbour on the scan stays the grid value
+    points = [next(refined) if 0 <= b < SCAN_POINTS else g[a] for a, b in ends]
+    return list(zip(points[0::2], points[1::2]))

@@ -3,7 +3,9 @@
 The package recovers poses for N w vectors at once (fk_nonsingular.
 solution_arrays).  This module keeps the loop form of the same route, one
 w vector, one rotation candidate and one sphere point at a time, so the
-tests can hold the batched kernel to it.  It is test code only.
+tests can hold the batched kernel to it.  It also keeps the one-point
+bisection of the feasibility boundaries, which the batched bisection of
+fk_singular must match to the bit.  It is test code only.
 """
 
 import math
@@ -12,7 +14,9 @@ import numpy as np
 
 from stewart66.errors import DegenerateLeg, Infeasible
 from stewart66.fk_nonsingular import (CLAMP_TOL, DEDUP_TOL, PLANE_TOL,
-                                      RESIDUAL_TOL, TANGENT_EPS, UNIT_TOL)
+                                      RESIDUAL_TOL, TANGENT_EPS, UNIT_TOL,
+                                      solution_arrays)
+from stewart66.fk_singular import BISECT_TOL, SCAN_POINTS, recover_poses, w_at
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion, to_matrix
 
@@ -136,3 +140,46 @@ def step(poses, previous):
     if not poses or not previous:
         return None
     return min(pose_gap(a, b) for a in poses for b in previous)
+
+
+def feasible_at(system, geom, w1):
+    """Whether the family has a pose at w1, by one-point recovery."""
+    try:
+        recover_poses(geom, w_at(system, w1), system.lengths)
+    except Infeasible:
+        return False
+    return True
+
+
+def refine(system, geom, inside, outside):
+    """Bisect a feasibility boundary between a feasible and an infeasible
+    w1, one midpoint at a time; returns the feasible end."""
+    while abs(outside - inside) > BISECT_TOL:
+        mid = 0.5 * (inside + outside)
+        if feasible_at(system, geom, mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def feasible_interval(system, geom, w1_hint_max):
+    """The scan of fk_singular.feasible_interval, each flip bisected by
+    refine."""
+    grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
+    flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible.tolist()
+    intervals = []
+    i = 0
+    while i < SCAN_POINTS:
+        if not flags[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < SCAN_POINTS and flags[j + 1]:
+            j += 1
+        lo = float(grid[i]) if i == 0 else refine(system, geom, float(grid[i]), float(grid[i - 1]))
+        hi = (float(grid[j]) if j == SCAN_POINTS - 1
+              else refine(system, geom, float(grid[j]), float(grid[j + 1])))
+        intervals.append((lo, hi))
+        i = j + 1
+    return intervals

@@ -5,12 +5,16 @@ import pytest
 
 from helpers import (collinear_base, hexagon_base, pose_gap,
                      random_feasible_pose, random_generic_base, random_rotation)
-from stewart66.errors import DegenerateBase, Infeasible, SingularBase
-from stewart66.fk_nonsingular import (fk_solve, rotation_candidates,
+from stewart66 import linalg
+from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
+                              ValidationError)
+from stewart66.fk_nonsingular import (FkSolution, fk_solve, rotation_candidates,
                                       solution_arrays, solutions_from_w,
                                       sphere_points)
-from stewart66.geometry import PlatformGeometry
-from stewart66.ik import Pose, leg_lengths, w_from_pose
+from stewart66.fk_singular import (build_singular_system, recover_poses, sweep,
+                                   w_at)
+from stewart66.geometry import PlatformGeometry, build_q, factor_for_rank
+from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
@@ -229,3 +233,111 @@ def test_random_w_vectors_never_yield_bad_candidates(rng):
     q = cands.quaternions[cands.kept]
     assert np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-6)
     assert np.all(q[:, 0] >= 0.0)
+
+
+BAD_LENGTHS = {
+    "five": np.ones(5),
+    "matrix": np.ones((2, 6)),
+    "nan": [1.0, 1.0, math.nan, 1.0, 1.0, 1.0],
+    "inf": [1.0, 1.0, 1.0, math.inf, 1.0, 1.0],
+    "zero": [1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+    "negative": [1.0, -1.0, 1.0, 1.0, 1.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("entry", ["fk_solve", "build_singular_system", "recover_poses"])
+@pytest.mark.parametrize("lengths", BAD_LENGTHS.values(), ids=BAD_LENGTHS.keys())
+def test_entry_points_validate_lengths(entry, lengths, hexagon_geometry, perturbed_geometry):
+    calls = {
+        "fk_solve": lambda: fk_solve(perturbed_geometry, lengths),
+        "build_singular_system": lambda: build_singular_system(hexagon_geometry, lengths),
+        "recover_poses": lambda: recover_poses(hexagon_geometry, np.zeros(6), lengths),
+    }
+    with pytest.raises(ValidationError, match="leg lengths"):
+        calls[entry]()
+
+
+def resting_hexagon_batch(hexagon_geometry):
+    """The hexagon family at rest on a small w1 grid: every row feasible."""
+    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    batch = solution_arrays(hexagon_geometry, w_at(system, np.linspace(0.1, 0.9, 5)),
+                            system.lengths)
+    assert batch.accepted.any(axis=(1, 2)).all()
+    return batch
+
+
+def test_solutions_reject_a_nonfinite_position(hexagon_geometry):
+    batch = resting_hexagon_batch(hexagon_geometry)
+    row, slot, branch = np.argwhere(batch.accepted)[3]
+    batch.positions[row, slot, branch, 1] = math.nan
+    with pytest.raises(ValidationError, match="position must be finite"):
+        batch.solutions()
+
+
+def test_solutions_reject_a_non_unit_orientation(hexagon_geometry):
+    batch = resting_hexagon_batch(hexagon_geometry)
+    row, slot, _ = np.argwhere(batch.accepted)[3]
+    batch.orientations[row, slot] *= 1.01
+    with pytest.raises(NotUnit):
+        batch.solutions()
+
+
+def constructed(batch):
+    """Per-row FkSolution lists built by the public constructors from the
+    arrays of a batch."""
+    index = np.cumsum(batch.rotations.kept, axis=1)
+    rows = [[] for _ in range(len(batch.accepted))]
+    for row, slot, branch in zip(*(x.tolist() for x in np.nonzero(batch.accepted))):
+        plate = Quaternion(*batch.orientations[row, slot].tolist())
+        pose = Pose(plate, batch.positions[row, slot, branch])
+        rows[row].append(FkSolution(pose, int(index[row, slot]),
+                                    int(batch.signs[row, slot, branch]),
+                                    float(batch.residuals[row, slot, branch])))
+    return rows
+
+
+def assert_same_bytes(got, expected, batch):
+    assert [len(r) for r in got] == [len(r) for r in expected]
+    for a, b in zip(sum(got, []), sum(expected, [])):
+        qa, qb = a.pose.orientation, b.pose.orientation
+        assert [type(x) for x in (qa.q0, qa.q1, qa.q2, qa.q3)] == [float] * 4
+        assert qa.as_array().tobytes() == qb.as_array().tobytes()
+        assert a.pose.position.dtype == float and a.pose.position.shape == (3,)
+        assert a.pose.position.tobytes() == b.pose.position.tobytes()
+        # a copy of the accepted points, not a view of the kernel's array
+        assert not np.shares_memory(a.pose.position, batch.positions)
+        for name in ("rotation_index", "position_sign", "leg_residual"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert type(x) is type(y) and np.array(x).tobytes() == np.array(y).tobytes()
+
+
+def test_sweep_solutions_match_public_constructors(hexagon_geometry):
+    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    samples = sweep(system, hexagon_geometry, 0.0, 1.2, 201)
+    batch = solution_arrays(hexagon_geometry, np.array([s.w for s in samples]),
+                            system.lengths)
+    got = [list(s.poses) for s in samples]
+    assert sum(map(len, got)) > 600
+    assert_same_bytes(got, constructed(batch), batch)
+    assert_same_bytes(batch.solutions(), constructed(batch), batch)
+
+
+def test_fk_solve_solutions_match_public_constructors(rng):
+    geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4,
+                            top_transform=random_rotation(rng))
+    lengths = leg_lengths(geom, random_feasible_pose(geom, rng))
+    sols = fk_solve(geom, lengths)
+    assert sols
+    # the w vector fk_solve solves for
+    w = linalg.solve(factor_for_rank(build_q(geom.base), 6), d_from_lengths(geom, lengths))
+    batch = solution_arrays(geom, w[None], lengths)
+    assert_same_bytes([sols], constructed(batch), batch)
+
+
+def test_solutions_renormalize_as_the_constructor_does(hexagon_geometry):
+    # within NORM_TOL of unit norm but beyond RENORM_TOL: Quaternion
+    # renormalizes, and so must the batch path
+    batch = resting_hexagon_batch(hexagon_geometry)
+    row, slot, _ = np.argwhere(batch.accepted)[3]
+    batch.orientations[row, slot] *= 1.0 + 3e-9
+    assert_same_bytes(batch.solutions(), constructed(batch), batch)

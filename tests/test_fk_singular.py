@@ -155,6 +155,8 @@ def test_sweep_validates_grid(hexagon_geometry, resting_system):
         sweep(resting_system, hexagon_geometry, -0.5, 1.0, 10)
     with pytest.raises(ValidationError):
         sweep(resting_system, hexagon_geometry, 0.0, math.inf, 10)
+    with pytest.raises(ValidationError):
+        sweep(resting_system, hexagon_geometry, 0.0, 1.0, 2.5)
 
 
 def test_sweep_contains_seed_pose(rng):
