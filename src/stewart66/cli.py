@@ -173,8 +173,7 @@ def cmd_sweep(args) -> int:
         "parameterized_by_w1": system.parameterizable_by_w1,
         "sample_count": len(samples),
         "feasible_count": sum(1 for s in samples if s.feasible),
-        "max_residual": max((sol.leg_residual for s in samples for sol in s.poses),
-                            default=None),
+        "max_residual": max((s.leg_residual for s in samples if s.feasible), default=None),
         "out": args.out,
         "elapsed_seconds": time.perf_counter() - start,
     }))

@@ -6,8 +6,8 @@ The sphere equation |P|^2 = w1 makes w1 the natural parameter along that
 line; each parameter value re-enters the nonsingular recovery and yields
 up to eight poses, all with identical leg lengths.  sweep and the
 feasibility scan hand their whole grid to that recovery as one batch;
-the bisection of the scan's flips evaluates several steps of every
-bracket per batch.
+the refinement of the scan's flips splits every open bracket into equal
+cells and evaluates all their points as one batch per round.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from .ik import check_lengths, d_from_lengths
 W1_COMPONENT_TOL = 1e-8
 
 SCAN_POINTS = 1000
+# Relative width, scaled by 1 + |w1|, at which a boundary bracket closes.
 BISECT_TOL = 1e-9
-# Bisection steps per batched evaluation: 2**5 - 1 = 31 midpoints a bracket.
-BISECT_LEVELS = 5
+# Equal cells a bracket is split into per batched evaluation: 31 points.
+_CELLS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +86,8 @@ def w_at(system: SingularSystem, w1) -> np.ndarray:
         raise NotParameterizable(
             "null direction has no w1 component; index the family by arc "
             "length (w_at_arc)")
-    if np.any(np.asarray(w1) < 0.0):
+    w1 = _finite(w1, "w1")
+    if np.any(w1 < 0.0):
         raise ValidationError(
             f"w1 is a squared position norm, must be >= 0, got {np.min(w1)}")
     t = (w1 - system.particular[0]) / system.null_dir[0]
@@ -95,14 +97,24 @@ def w_at(system: SingularSystem, w1) -> np.ndarray:
 def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
     """Solution-line point at signed arc length from the particular solution:
     (6,) for a number, (N, 6) for N values."""
-    return system.particular + np.multiply.outer(arc, system.null_dir)
+    return system.particular + np.multiply.outer(_finite(arc, "arc length"), system.null_dir)
+
+
+def _finite(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite")
+    return values
 
 
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     """Poses at one point of the family, audited against the leg lengths;
-    Infeasible when there are none, ValidationError on lengths that are
-    not six positive finite numbers."""
-    solutions = solutions_from_w(geom, np.asarray(w, dtype=float), check_lengths(lengths))
+    Infeasible when there are none, ValidationError unless w is six finite
+    numbers and the lengths six positive finite numbers."""
+    w = _finite(w, "w")
+    if w.shape != (6,):
+        raise ValidationError(f"w must be a 6-vector, got shape {w.shape}")
+    solutions = solutions_from_w(geom, w, check_lengths(lengths))
     if not solutions:
         raise Infeasible("no pose branch reproduces the leg lengths at this parameter")
     return solutions
@@ -158,54 +170,43 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
                 _steps(batch).tolist())]
 
 
-def _bisect(system: SingularSystem, geom: PlatformGeometry, brackets) -> list:
-    """The feasible end of each (inside, outside) w1 bracket, bisected to
-    BISECT_TOL.
+def _refine(system: SingularSystem, geom: PlatformGeometry, inside, outside) -> np.ndarray:
+    """The feasible end of each (inside, outside) w1 bracket, narrowed until
+    its width is at most BISECT_TOL * (1 + |w1|).
 
-    Each round evaluates, for every open bracket at once, the midpoints of
-    the next BISECT_LEVELS bisection steps down both branches (a complete
-    binary tree in heap order: node h has children 2h+1 on the infeasible
-    and 2h+2 on the feasible side), in one solution_arrays call.  The walk
-    down each tree then takes the steps one-point bisection takes, with the
-    same midpoints, so the ends are the same to the bit.
+    Each round splits every open bracket into _CELLS equal cells and
+    evaluates the interior points of all of them in one solution_arrays
+    call.  A bracket keeps the first cell, walking from its feasible end,
+    whose far point is infeasible (the last cell if none is), so its
+    inside end is always a point found feasible.
     """
-    inside = [a for a, _ in brackets]
-    outside = [b for _, b in brackets]
-    open_ = [i for i in range(len(inside)) if abs(outside[i] - inside[i]) > BISECT_TOL]
-    while open_:
-        ins = np.array([inside[i] for i in open_])[:, None]
-        outs = np.array([outside[i] for i in open_])[:, None]
-        levels = []
-        for _ in range(BISECT_LEVELS):
-            mid = 0.5 * (ins + outs)
-            levels.append(mid)
-            # children (ins, mid) if mid is infeasible, (mid, outs) if feasible
-            ins = np.stack([ins, mid], axis=-1).reshape(len(open_), -1)
-            outs = np.stack([mid, outs], axis=-1).reshape(len(open_), -1)
-        mids = np.concatenate(levels, axis=1)
-        flags = solution_arrays(geom, w_at(system, mids.ravel()),
-                                system.lengths).feasible.reshape(mids.shape).tolist()
-        for i, tree, ok in zip(open_, mids.tolist(), flags):
-            h = 0
-            for _ in range(BISECT_LEVELS):
-                if not abs(outside[i] - inside[i]) > BISECT_TOL:
-                    break
-                if ok[h]:
-                    inside[i], h = tree[h], 2 * h + 2
-                else:
-                    outside[i], h = tree[h], 2 * h + 1
-        open_ = [i for i in open_ if abs(outside[i] - inside[i]) > BISECT_TOL]
-    return inside
+    inside = np.array(inside, dtype=float)
+    outside = np.array(outside, dtype=float)
+    split = np.arange(1, _CELLS) / _CELLS
+    while True:
+        open_ = np.flatnonzero(np.abs(outside - inside) > BISECT_TOL * (1.0 + np.abs(inside)))
+        if not open_.size:
+            return inside
+        ins, outs = inside[open_, None], outside[open_, None]
+        points = np.concatenate([ins, ins + (outs - ins) * split, outs], axis=1)
+        ok = solution_arrays(geom, w_at(system, points[:, 1:-1].ravel()),
+                             system.lengths).feasible.reshape(len(open_), -1)
+        # the first cell whose far end is infeasible; the padding column
+        # picks the last cell when every interior point is feasible
+        k = np.argmin(np.column_stack([ok, np.zeros(len(open_), dtype=bool)]), axis=1)
+        rows = np.arange(len(open_))
+        inside[open_], outside[open_] = points[rows, k], points[rows, k + 1]
 
 
 def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
                       w1_hint_max: float) -> list:
     """Disjoint closed w1 intervals in [0, hint] where poses exist.
 
-    Dense scan plus bisection of the flips; reports what the scan finds
-    without claiming the family has no branches beyond the hint.  Every
-    endpoint inside (0, hint) is the feasible end of its last bisection
-    bracket, so it admits a pose.
+    A dense scan finds the flips, and equal-cell refinement narrows each
+    to BISECT_TOL * (1 + |w1|); reports what the scan finds without
+    claiming the family has no branches beyond the hint.  Every endpoint
+    inside (0, hint) is the feasible end of its last refinement bracket,
+    so it admits a pose.
     """
     if not system.parameterizable_by_w1:
         raise NotParameterizable("family is not indexed by w1")
@@ -213,13 +214,11 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
         raise ValidationError("w1_hint_max must be positive and finite")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
-    # runs of feasible scan points: run k spans edges[2k] to edges[2k+1] - 1
-    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False)).tolist()
-    # each end as (feasible point, infeasible neighbour), scan indices
-    ends = [(i, i - 1) if k % 2 == 0 else (i - 1, i) for k, i in enumerate(edges)]
-    g = grid.tolist()
-    refined = iter(_bisect(system, geom, [(g[a], g[b]) for a, b in ends
-                                          if 0 <= b < SCAN_POINTS]))
+    # first and last feasible scan index of each run, one run a row
+    ends = np.flatnonzero(np.diff(flags, prepend=False, append=False)).reshape(-1, 2) - [0, 1]
+    beyond = ends + [-1, 1]  # each end's infeasible neighbour
+    inner = (beyond >= 0) & (beyond < SCAN_POINTS)
+    points = grid[ends]
     # an end with no neighbour on the scan stays the grid value
-    points = [next(refined) if 0 <= b < SCAN_POINTS else g[a] for a, b in ends]
-    return list(zip(points[0::2], points[1::2]))
+    points[inner] = _refine(system, geom, grid[ends[inner]], grid[beyond[inner]])
+    return [tuple(row) for row in points.tolist()]

@@ -4,8 +4,9 @@ The package recovers poses for N w vectors at once (fk_nonsingular.
 solution_arrays).  This module keeps the loop form of the same route, one
 w vector, one rotation candidate and one sphere point at a time, so the
 tests can hold the batched kernel to it.  It also keeps the one-point
-bisection of the feasibility boundaries, which the batched bisection of
-fk_singular must match to the bit.  It is test code only.
+bisection of the feasibility boundaries, which the equal-cell refinement
+of fk_singular must match within its stop width BISECT_TOL * (1 + |w1|).
+It is test code only.
 """
 
 import math

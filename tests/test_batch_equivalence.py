@@ -2,9 +2,11 @@
 
 sweep and feasible_interval hand their whole grid to one
 solution_arrays call; scalar_oracle walks the same route one w vector,
-one candidate and one sphere point at a time.  feasible_interval bisects
-every scan flip several steps per batch; scalar_oracle bisects one
-midpoint at a time, and the endpoints must agree to the bit.
+one candidate and one sphere point at a time.  feasible_interval narrows
+every scan flip by 32 equal cells per batch; scalar_oracle bisects one
+midpoint at a time.  Both return the feasible end of a bracket around the
+same boundary, so the endpoints agree within the refinement's stop width
+BISECT_TOL * (1 + |w1|).
 """
 
 import math
@@ -18,9 +20,8 @@ from helpers import (circle_through_origin_geometry, hexagon_base,
 from stewart66 import fk_singular
 from stewart66.errors import Infeasible
 from stewart66.fk_nonsingular import solution_arrays
-from stewart66.fk_singular import (BISECT_LEVELS, BISECT_TOL, SCAN_POINTS, _bisect,
-                                   build_singular_system, feasible_interval, sweep,
-                                   w_at, w_at_arc)
+from stewart66.fk_singular import (BISECT_TOL, SCAN_POINTS, _refine, build_singular_system,
+                                   feasible_interval, sweep, w_at, w_at_arc)
 from stewart66.geometry import PlatformGeometry
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion
@@ -43,6 +44,12 @@ def family(kind):
         return geom, build_singular_system(geom, lengths), (-4.0, 4.0)
     geom, lengths = seeded_conic_family(kind, SEEDS[kind])
     return geom, build_singular_system(geom, lengths), (0.0, HINT)
+
+
+def assert_ends_close(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert abs(a - b) <= BISECT_TOL * (1.0 + abs(b))
 
 
 def expected_poses(geom, w, lengths):
@@ -106,7 +113,8 @@ def test_interval_endpoints_match_one_point_bisection(kind, seed):
         system = build_singular_system(geom, lengths)
     intervals = feasible_interval(system, geom, HINT)
     assert intervals
-    assert intervals == oracle.feasible_interval(system, geom, HINT)
+    assert_ends_close(np.ravel(intervals).tolist(),
+                      np.ravel(oracle.feasible_interval(system, geom, HINT)).tolist())
 
 
 def test_many_brackets_bisect_as_one_at_a_time():
@@ -115,17 +123,18 @@ def test_many_brackets_bisect_as_one_at_a_time():
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
     first, last = np.flatnonzero(flags)[[0, -1]].tolist()
     # widths from 5e-10 (closed before any step) to 400 grid steps, so the
-    # brackets close in different rounds of the batched walk
+    # brackets close in different rounds of the batched refinement
     brackets = [(grid[first], grid[first - k]) for k in (1, 2, 3, 17, 400) if first - k >= 0]
     brackets += [(grid[last], grid[last + k]) for k in (1, 5, 60) if last + k < SCAN_POINTS]
     brackets += [(grid[last], grid[last] + 5e-10), (grid[first], grid[first])]
     assert len(brackets) >= 8
     expected = [oracle.refine(system, geom, inside, outside) for inside, outside in brackets]
-    assert _bisect(system, geom, brackets) == expected
-    assert _bisect(system, geom, []) == []
+    inside, outside = zip(*brackets)
+    assert_ends_close(_refine(system, geom, inside, outside).tolist(), expected)
+    assert _refine(system, geom, [], []).tolist() == []
 
 
-def test_bisection_takes_levels_steps_per_batch(monkeypatch):
+def test_refinement_takes_31_points_per_bracket_per_batch(monkeypatch):
     geom, system, _ = family("circle")
     calls = []
 
@@ -135,8 +144,11 @@ def test_bisection_takes_levels_steps_per_batch(monkeypatch):
 
     monkeypatch.setattr(fk_singular, "solution_arrays", counted)
     assert len(feasible_interval(system, geom, HINT)) == 1
-    # each flip's bracket starts one grid step wide and halves per step
-    steps = math.ceil(math.log2(HINT / (SCAN_POINTS - 1) / BISECT_TOL))
-    assert len(calls) == 1 + math.ceil(steps / BISECT_LEVELS)
+    # each flip's bracket starts one grid step wide and shrinks 32-fold per
+    # round; a bracket at larger w1 may close a round early
+    rounds = math.ceil(math.log(HINT / (SCAN_POINTS - 1) / BISECT_TOL, 32))
     assert calls[0] == SCAN_POINTS
-    assert calls[1:] == [2 * (2 ** BISECT_LEVELS - 1)] * (len(calls) - 1)
+    assert 1 <= len(calls) - 1 <= rounds
+    assert calls[1] == 2 * 31
+    assert all(n in (31, 62) for n in calls[1:])
+    assert calls[1:] == sorted(calls[1:], reverse=True)

@@ -191,6 +191,9 @@ def test_sweep_flags_infeasible_band(hex_geom, resting_legs, tmp_path, capsys):
                        if line.split(",")[10] == "0"]
     assert all(line.split(",")[1] == "" and line.split(",")[11] == ""
                for line in infeasible_rows)
+    residuals = [float(line.split(",")[11]) for line in out_csv.read_text().splitlines()[1:]
+                 if line.split(",")[10] == "1"]
+    assert json.loads(capsys.readouterr().out)["max_residual"] == max(residuals)
 
 
 def test_sweep_rank_six_base_exit_3(perturbed_geom, resting_legs, tmp_path, capsys):

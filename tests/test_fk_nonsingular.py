@@ -12,7 +12,7 @@ from stewart66.fk_nonsingular import (FkSolution, fk_solve, rotation_candidates,
                                       solution_arrays, solutions_from_w,
                                       sphere_points)
 from stewart66.fk_singular import (build_singular_system, recover_poses, sweep,
-                                   w_at)
+                                   w_at, w_at_arc)
 from stewart66.geometry import PlatformGeometry, build_q, factor_for_rank
 from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion, to_matrix
@@ -255,6 +255,30 @@ def test_entry_points_validate_lengths(entry, lengths, hexagon_geometry, perturb
     }
     with pytest.raises(ValidationError, match="leg lengths"):
         calls[entry]()
+
+
+BAD_W = {
+    "five": np.zeros(5),
+    "seven": np.zeros(7),
+    "matrix": np.zeros((1, 6)),
+    "nan": [0.0, 0.0, math.nan, 0.0, 0.0, 0.0],
+    "inf": [math.inf, 0.0, 0.0, 0.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("w", BAD_W.values(), ids=BAD_W.keys())
+def test_recover_poses_validates_w(w, hexagon_geometry):
+    with pytest.raises(ValidationError, match="w must be"):
+        recover_poses(hexagon_geometry, w, np.full(6, math.sqrt(1.25)))
+
+
+@pytest.mark.parametrize("locate", [w_at, w_at_arc])
+@pytest.mark.parametrize("value", [math.nan, math.inf, [0.5, math.nan]],
+                         ids=["nan", "inf", "nan_in_batch"])
+def test_family_points_validate_parameter(locate, value, hexagon_geometry):
+    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    with pytest.raises(ValidationError, match="must be finite"):
+        locate(system, value)
 
 
 def resting_hexagon_batch(hexagon_geometry):

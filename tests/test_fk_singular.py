@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import (CIRCLE_COEFFS, circle_through_origin_geometry,
-                     collinear_base, pose_gap, perturbed_hexagon_base,
-                     random_circle_base, random_feasible_pose, random_rotation,
-                     seeded_conic_family)
+                     collinear_base, hexagon_base, leg_jacobian, pose_gap,
+                     perturbed_hexagon_base, random_circle_base, random_feasible_pose,
+                     random_rotation, seeded_conic_family)
+from stewart66 import fk_singular
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible,
                               NotParameterizable, ValidationError, WrongRank)
+from stewart66.fk_nonsingular import solution_arrays
 from stewart66.fk_singular import (build_singular_system, feasible_interval,
                                    recover_poses, sweep, w_at, w_at_arc)
 from stewart66.geometry import PlatformGeometry, build_q
@@ -202,6 +204,32 @@ def test_feasible_interval_unit(hexagon_geometry, resting_system):
     assert abs(hi - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("radius", [3000.0, 1e4])
+def test_feasible_interval_far_from_unit_scale(radius, monkeypatch):
+    # the stop width scales with w1, because an absolute width below the
+    # float spacing of w1 = radius**2 could never be reached
+    geom = PlatformGeometry(base=radius * hexagon_base(), mu=0.5)
+    lengths = leg_lengths(geom, Pose(Quaternion(1, 0, 0, 0), np.array([0.0, 0.0, radius])))
+    system = build_singular_system(geom, lengths)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        if len(calls) > 50:
+            raise RuntimeError("feasible_interval does not converge")
+        return solution_arrays(*args)
+
+    monkeypatch.setattr(fk_singular, "solution_arrays", counted)
+    intervals = feasible_interval(system, geom, 5.0 * radius ** 2)
+    assert len(calls) <= 7
+    assert len(intervals) == 1
+    lo, hi = intervals[0]
+    assert lo == 0.0
+    assert abs(hi - radius ** 2) <= 1e-8 * radius ** 2
+    for w1 in (lo, hi):
+        assert recover_poses(geom, w_at(system, w1), lengths)
+
+
 def test_feasible_interval_contains_seed_at_origin(hexagon_geometry):
     system = build_singular_system(hexagon_geometry, np.full(6, 0.5))
     intervals = feasible_interval(system, hexagon_geometry, 5.0)
@@ -211,7 +239,7 @@ def test_feasible_interval_contains_seed_at_origin(hexagon_geometry):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["circle", "ellipse"])
 def test_interval_endpoints_admit_poses(kind, seed):
-    # the bisection returns the feasible end of its last bracket
+    # the refinement returns the feasible end of its last bracket
     geom, lengths = seeded_conic_family(kind, seed)
     system = build_singular_system(geom, lengths)
     intervals = feasible_interval(system, geom, 4.0)
@@ -219,6 +247,33 @@ def test_interval_endpoints_admit_poses(kind, seed):
     for lo, hi in intervals:
         for w1 in (lo, hi):
             assert recover_poses(geom, w_at(system, w1), lengths)
+
+
+def sigma_ratio(geom, pose):
+    s = np.linalg.svd(leg_jacobian(geom, pose), compute_uv=False)
+    return s[-1] / s[0]
+
+
+@pytest.mark.parametrize("kind, seed", [("hexagon", None)] + [
+    (kind, seed) for kind in ("circle", "ellipse", "top_rotation") for seed in range(1, 11)])
+def test_conic_base_is_singular_at_every_pose(kind, seed, hexagon_geometry):
+    # the paper's theorem: with the base on a conic, every pose of the
+    # self-motion is a singular configuration (measured ratio <= 2.6e-16)
+    if kind == "hexagon":
+        geom, lengths = hexagon_geometry, np.full(6, ROOT_125)
+    else:
+        geom, lengths = seeded_conic_family(kind, seed)
+    system = build_singular_system(geom, lengths)
+    poses = [sol.pose for lo, hi in feasible_interval(system, geom, 4.0)
+             for s in sweep(system, geom, lo, hi, 51) for sol in s.poses]
+    assert poses
+    assert max(sigma_ratio(geom, pose) for pose in poses) <= 1e-12
+
+
+def test_base_off_the_conic_is_regular(perturbed_geometry, rng):
+    # measured minimum ratio over these poses: 2.6e-5
+    poses = [random_feasible_pose(perturbed_geometry, rng) for _ in range(200)]
+    assert min(sigma_ratio(perturbed_geometry, pose) for pose in poses) >= 1e-8
 
 
 def test_interval_hint_must_be_positive(resting_system, hexagon_geometry):
