@@ -1,6 +1,8 @@
 """Command-line front end: JSON geometry/pose/lengths in, JSON/CSV out.
 
-Exit codes: 0 success, 2 input/validation error, 3 solver infeasibility.
+Exit codes: 0 success, 2 input/validation error (an unwritable --out
+included), 3 solver infeasibility.  Every input value must be a JSON
+number (or a list of them); strings and booleans are refused.
 Floats are serialized with the shortest round-tripping representation so
 identical inputs always produce byte-identical output, except for the wall
 time that `sweep` reports as elapsed_seconds.
@@ -23,6 +25,8 @@ from .ik import Pose, check_lengths, leg_lengths
 from .rotation import Quaternion
 
 CSV_HEADER = "w1,branch_rot,branch_pos,q0,q1,q2,q3,x,y,z,feasible,residual"
+# what _reals wants at each nesting depth
+_DEPTHS = ("a JSON number", "a list of JSON numbers", "a list of lists of JSON numbers")
 
 
 def _jfloat(x) -> float:
@@ -44,6 +48,22 @@ def _load_json(path):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _reals(path, data, key, ndim) -> np.ndarray:
+    """data[key] as floats: a JSON number, or lists of them nested ndim deep.
+    Strings and booleans are refused: float() would read "0.5" and true, and
+    a string would be read digit by digit."""
+    def numbers(x, depth):
+        if depth:
+            return isinstance(x, list) and all(numbers(y, depth - 1) for y in x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    if not numbers(data[key], ndim):
+        raise ValidationError(f"{path}: '{key}' must be {_DEPTHS[ndim]}")
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: malformed '{key}': {exc}") from exc
+
+
 def load_geometry(path) -> PlatformGeometry:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -56,36 +76,31 @@ def load_geometry(path) -> PlatformGeometry:
         raise ValidationError(f"{path}: 'mu' is required (it never defaults)")
     try:
         if has_angles:
-            base = make_circle_base(np.asarray(data["circle_angles"], dtype=float))
+            base = make_circle_base(_reals(path, data, "circle_angles", 1))
         else:
-            base = np.asarray(data["base"], dtype=float)
-        top = np.asarray(data["A"], dtype=float) if "A" in data else None
-        return PlatformGeometry(base=base, mu=float(data["mu"]), top_transform=top)
+            base = _reals(path, data, "base", 2)
+        top = _reals(path, data, "A", 2) if "A" in data else None
+        return PlatformGeometry(base=base, mu=float(_reals(path, data, "mu", 0)),
+                                top_transform=top)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed geometry: {exc}") from exc
 
 
 def load_pose(path) -> Pose:
     data = _load_json(path)
-    try:
-        q = [float(x) for x in data["q"]]
-        p = [float(x) for x in data["P"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: pose file needs 'q' (4 reals) and 'P' (3 reals)") from exc
+    if not isinstance(data, dict) or "q" not in data or "P" not in data:
+        raise ValidationError(f"{path}: pose file needs 'q' (4 reals) and 'P' (3 reals)")
+    q, p = _reals(path, data, "q", 1), _reals(path, data, "P", 1)
     if len(q) != 4 or len(p) != 3:
         raise ValidationError(f"{path}: 'q' must have 4 components and 'P' 3")
-    return Pose(Quaternion(*q), np.asarray(p, dtype=float))
+    return Pose(Quaternion(*q.tolist()), p)
 
 
 def load_lengths(path) -> np.ndarray:
     data = _load_json(path)
     if not isinstance(data, dict) or "L" not in data:
         raise ValidationError(f"{path}: lengths file needs key 'L' with 6 reals")
-    try:
-        lengths = np.asarray([float(x) for x in data["L"]], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed lengths: {exc}") from exc
-    return check_lengths(lengths)
+    return check_lengths(_reals(path, data, "L", 1))
 
 
 def cmd_ik(args) -> int:
@@ -160,8 +175,11 @@ def cmd_sweep(args) -> int:
                 _num(p[0]), _num(p[1]), _num(p[2]),
                 "1", _num(sol.leg_residual),
             ]))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     print(json.dumps({
         "command": "sweep",
         "geom": args.geom,

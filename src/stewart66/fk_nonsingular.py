@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, ParallelPlanes, ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
-from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
+from .ik import EYE3, MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
 from .rotation import RENORM_TOL, Quaternion, canonicalize, from_matrices, to_matrices
 
 # Squared quaternion components this far below zero are rounding noise.
@@ -43,7 +43,9 @@ SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
 # Names of the squared components in the order they are checked.
 SQUARE_NAMES = ((1, "q1^2"), (2, "q2^2"), (3, "q3^2"), (0, "q0^2"))
 EPS = np.finfo(float).eps
-EYE3 = np.eye(3)
+# Slot pairs LATER[p] > EARLIER[p]; DROPS[p] is one-hot on the slot a near pair drops
+LATER, EARLIER = np.nonzero(np.tri(4, k=-1, dtype=bool))
+DROPS = LATER[:, None] == np.arange(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +181,11 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     two comes from the product constraint |q1*q2| = |beta| divided by the
     larger one: its own square root loses its digits to cancellation in
     gamma -/+ alpha.  Sign flips over (q1, q2) jointly and over q3
-    enumerate the rest; duplicates collapse after canonicalization.
+    enumerate the rest.  A slot is dropped when it lies within DEDUP_TOL of
+    any earlier slot, kept or not.  That agrees with comparing against the
+    kept slots only: a snapped component is exactly 0 or above sqrt(8*EPS)
+    ~ 4e-8, so two slots are identical or at least 8e-8 apart, and no chain
+    of near slots can pass through a dropped one.
     """
     w = np.asarray(w, dtype=float)
     w4, w5, w6 = w[:, 3], w[:, 4], w[:, 5]
@@ -209,12 +215,10 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     quaternions = base.T[:, None, :] * SIGNS
     quaternions += 0.0
     quaternions = canonicalize(quaternions)
-    kept = np.empty(quaternions.shape[:2], dtype=bool)
-    kept[:, 0] = fits
-    for j in range(1, 4):
-        d = quaternions[:, j, None] - quaternions[:, :j]
-        apart = np.sqrt(_dot(d, d)) > DEDUP_TOL
-        kept[:, j] = fits & (apart | ~kept[:, :j]).all(axis=1)
+    # np.take, not fancy indexing: it gathers the pairs twice as fast
+    d = np.take(quaternions, LATER, axis=1) - np.take(quaternions, EARLIER, axis=1)
+    near = ~(np.sqrt(_dot(d, d)) > DEDUP_TOL)
+    kept = fits[:, None] & ~(near @ DROPS)
     return RotationCandidates(quaternions, kept, fits, squares.T, norm2, alpha, beta, gamma)
 
 
@@ -282,16 +286,14 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     residuals = np.full(hit.shape, np.nan)
     accepted = np.zeros(hit.shape, dtype=bool)
-    # one candidate slot at a time: its rotated base serves both branches,
-    # and the leg vectors stay at (N, 2, 6, 3)
-    for k in range(4):
-        rows = np.flatnonzero(rotations.kept[:, k] & hit[:, k, 0])
-        legs = leg_vectors(geom, ra[rows, k, None], points[rows, k])
-        # np.linalg.norm(legs, axis=-1), squaring in place
-        audited = np.sqrt(np.add.reduce(np.multiply(legs, legs, out=legs), axis=-1))
-        residual = np.abs(audited - lengths).max(axis=-1)
-        residuals[rows, k] = residual
-        accepted[rows, k] = (hit[rows, k] & (audited >= MIN_LEG_LENGTH).all(axis=-1)
+    # every kept (row, slot) with a sphere point at once; legs are (M, 2, 6, 3)
+    rows, slots = np.nonzero(rotations.kept & hit[..., 0])
+    legs = leg_vectors(geom, ra[rows, slots, None], points[rows, slots])
+    # np.linalg.norm(legs, axis=-1), squaring in place
+    audited = np.sqrt(np.add.reduce(np.multiply(legs, legs, out=legs), axis=-1))
+    residual = np.abs(audited - lengths).max(axis=-1)
+    residuals[rows, slots] = residual
+    accepted[rows, slots] = (hit[rows, slots] & (audited >= MIN_LEG_LENGTH).all(axis=-1)
                              & (residual <= tol))
     return SolutionArrays(rotations, orientations, points, signs, residuals, accepted)
 

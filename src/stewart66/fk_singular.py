@@ -71,7 +71,8 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     f = factor_for_rank(q, 5)
     conic = conic_report(q, f)
     return SingularSystem(
-        particular=linalg.solve(f, d_from_lengths(geom, lengths)),
+        particular=linalg.solve(f, d_from_lengths(geom, lengths),
+                                linalg.consistency_tol(lengths)),
         null_dir=conic.conic,
         parameterizable_by_w1=bool(abs(conic.conic[0]) > W1_COMPONENT_TOL),
         lengths=lengths.copy(),

@@ -17,6 +17,7 @@ from .geometry import PlatformGeometry
 from .rotation import Quaternion, to_matrix
 
 MIN_LEG_LENGTH = 1e-12
+EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,16 +36,12 @@ class Pose:
         object.__setattr__(self, "position", p)
 
 
-def _base3(geom: PlatformGeometry) -> np.ndarray:
-    # embed the planar vertices at z = 0
-    return np.column_stack([geom.base, np.zeros(6)])
-
-
 def leg_vectors(geom: PlatformGeometry, ra, position) -> np.ndarray:
     """Leg vectors (..., 6, 3), row i = (mu*R*A - I) @ B_i + P, for combined
-    rotations ra = R @ A (..., 3, 3) and plate positions P (..., 3)."""
-    m = geom.mu * np.asarray(ra, dtype=float) - np.eye(3)
-    return _base3(geom) @ np.swapaxes(m, -1, -2) + np.asarray(position, dtype=float)[..., None, :]
+    rotations ra = R @ A (..., 3, 3) and plate positions P (..., 3).  Every
+    B_i has z = 0, so only the first two columns of mu*R*A - I act on it."""
+    m = geom.mu * np.asarray(ra, dtype=float)[..., :2] - EYE3[:, :2]
+    return geom.base @ np.swapaxes(m, -1, -2) + np.asarray(position, dtype=float)[..., None, :]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:

@@ -21,9 +21,12 @@ N = 6
 RANK_EPS = 1.65e-10
 
 
-def consistency_tol(rhs) -> float:
-    """Rank-5 consistency slack, relative because lengths enter rhs squared."""
-    return 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
+def consistency_tol(lengths) -> float:
+    """Rank-5 consistency slack for leg lengths L.  Relative to max L^2, the
+    size of the terms that cancel in rhs = L^2 - (1 + mu^2)|B|^2: rhs
+    itself can be near 0 at any scale."""
+    lengths = np.asarray(lengths, dtype=float)
+    return 1e-8 * float(np.max(lengths * lengths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,16 +68,16 @@ def null_vector(f: Factorization) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def solve(f: Factorization, rhs) -> np.ndarray:
+def solve(f: Factorization, rhs, tol: float = 0.0) -> np.ndarray:
     """The solution at rank 6; at rank 5 the one of minimum norm in the scaled
     unknowns, or Inconsistent when rhs leaves the column space by more than
-    consistency_tol(rhs).  WrongRank below rank 5."""
+    tol (see consistency_tol).  WrongRank below rank 5."""
     rhs = np.asarray(rhs, dtype=float)
     if f.rank == N:
         return np.linalg.solve(f.scaled, rhs) * f.scale
     if f.rank != 5:
         raise WrongRank(f"solve needs rank 5 or 6, matrix has rank {f.rank}")
-    gap, tol = abs(float(f.u[:, 5] @ rhs)), consistency_tol(rhs)
+    gap = abs(float(f.u[:, 5] @ rhs))
     if gap > tol:
         raise Inconsistent(f"lengths leave the column space by {gap:.3g} (tolerance {tol:.3g})")
     return (f.vt[:5].T @ ((f.u[:, :5].T @ rhs) / f.s[:5])) * f.scale

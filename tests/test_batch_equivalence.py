@@ -19,12 +19,12 @@ from helpers import (circle_through_origin_geometry, hexagon_base,
                      seeded_conic_family)
 from stewart66 import fk_singular
 from stewart66.errors import Infeasible
-from stewart66.fk_nonsingular import solution_arrays
+from stewart66.fk_nonsingular import rotation_candidates, solution_arrays
 from stewart66.fk_singular import (BISECT_TOL, SCAN_POINTS, _refine, build_singular_system,
                                    feasible_interval, sweep, w_at, w_at_arc)
 from stewart66.geometry import PlatformGeometry
 from stewart66.ik import Pose, leg_lengths
-from stewart66.rotation import Quaternion
+from stewart66.rotation import Quaternion, to_matrices
 
 HINT = 4.0
 SAMPLES = 201
@@ -57,6 +57,38 @@ def expected_poses(geom, w, lengths):
         return oracle.solutions(geom, w, lengths)
     except Infeasible:
         return []
+
+
+def zero_pattern_rows(rng, draws=25):
+    """(w4, w5, w6) rows of unit quaternions for every zero pattern of
+    (q0..q3), the zeroed components exactly 0 or scaled to small values."""
+    patterns = np.array([[(k >> i) & 1 for i in range(4)] for k in range(1, 16)], dtype=bool)
+    q = rng.normal(size=(len(patterns), 6, draws, 4))
+    for j, small in enumerate([0.0, 1e-12, 1e-9, 3e-8, 1e-7, 1e-4]):
+        q[:, j] = np.where(patterns[:, None], q[:, j], small * q[:, j])
+    q = q.reshape(-1, 4)
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    m = to_matrices(q)
+    return np.column_stack([m[:, 0, 0], m[:, 0, 1] + m[:, 1, 0], m[:, 1, 1]])
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
+def test_dedup_matches_earlier_kept_rule(mu, rng):
+    # the batch drops a slot near any earlier slot; the oracle compares with
+    # the kept ones only.  Both keep the same candidates, which agree to
+    # 1e-9: small components carry the square root of cancellation noise
+    rows = zero_pattern_rows(rng)
+    w = np.zeros((len(rows), 6))
+    w[:, 3:] = -2.0 * mu * rows
+    batch = rotation_candidates(w, mu)
+    for row in range(len(w)):
+        try:
+            expected = [c.as_array() for c in oracle.quaternions(w[row], mu)]
+        except Infeasible:
+            expected = []
+        got = batch.quaternions[row, batch.kept[row]]
+        assert len(got) == len(expected)
+        assert np.all(np.abs(got - np.reshape(expected, got.shape)) <= 1e-9)
 
 
 @pytest.mark.parametrize("kind", W1_FAMILIES)

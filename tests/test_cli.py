@@ -108,6 +108,36 @@ def test_geometry_rejects_bad_top_transform(tmp_path, identity_pose, capsys):
     assert "orthogonal" in capsys.readouterr().err
 
 
+ANGLES = HEX_GEOM["circle_angles"]
+
+
+@pytest.mark.parametrize("kind, payload, key", [
+    ("legs", {"L": "123456"}, "L"),
+    ("legs", {"L": [True, 1, 1, 1, 1, 1]}, "L"),
+    ("legs", {"L": [[1, 1, 1, 1, 1, 1]]}, "L"),
+    ("legs", {"L": [10 ** 400] * 6}, "L"),
+    ("pose", {"q": "1000", "P": [0, 0, 1]}, "q"),
+    ("pose", {"q": [1, 0, 0, 0], "P": "001"}, "P"),
+    ("pose", {"q": [1, 0, 0, False], "P": [0, 0, 1]}, "q"),
+    ("geom", {"circle_angles": ANGLES, "mu": "0.5"}, "mu"),
+    ("geom", {"circle_angles": ANGLES, "mu": True}, "mu"),
+    ("geom", {"circle_angles": ANGLES, "mu": [0.5]}, "mu"),
+    ("geom", {"circle_angles": [str(x) for x in ANGLES], "mu": 0.5}, "circle_angles"),
+    ("geom", {"base": [["1.2", 0.0]] + PERTURBED_GEOM["base"][1:], "mu": 0.5}, "base"),
+    ("geom", {"circle_angles": ANGLES, "mu": 0.5,
+              "A": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}, "A"),
+])
+def test_inputs_must_be_json_numbers(kind, payload, key, tmp_path, hex_geom, identity_pose,
+                                     perturbed_geom, capsys):
+    bad = write(tmp_path / "bad.json", payload)
+    argv = {"legs": ["fk", "--geom", perturbed_geom, "--legs", bad],
+            "pose": ["ik", "--geom", hex_geom, "--pose", bad],
+            "geom": ["ik", "--geom", bad, "--pose", identity_pose]}[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert bad in err and f"'{key}'" in err
+
+
 def test_fk_round_trip(perturbed_geom, perturbed_legs, capsys):
     assert main(["fk", "--geom", perturbed_geom, "--legs", perturbed_legs]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -218,6 +248,17 @@ def test_sweep_inconsistent_lengths_exit_3(hex_geom, tmp_path, capsys):
                  "--w1-min", "0", "--w1-max", "1", "--samples", "11",
                  "--out", str(tmp_path / "na.csv")])
     assert code == 3
+
+
+def test_sweep_unwritable_out_exit_2(hex_geom, resting_legs, tmp_path, capsys):
+    out_csv = tmp_path / "missing" / "curve.csv"
+    code = main(["sweep", "--geom", hex_geom, "--legs", resting_legs,
+                 "--w1-min", "0", "--w1-max", "1", "--samples", "11",
+                 "--out", str(out_csv)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot write {out_csv}" in captured.err
 
 
 def test_sweep_is_byte_deterministic(hex_geom, resting_legs, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from helpers import (CIRCLE_COEFFS, circle_through_origin_geometry,
                      collinear_base, hexagon_base, leg_jacobian, pose_gap,
                      perturbed_hexagon_base, random_circle_base, random_feasible_pose,
-                     random_rotation, seeded_conic_family)
+                     random_rotation, random_unit_quaternion, seeded_conic_family)
 from stewart66 import fk_singular
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible,
                               NotParameterizable, ValidationError, WrongRank)
@@ -50,6 +50,22 @@ def test_system_for_short_legs(hexagon_geometry):
 def test_unrealizable_lengths_rejected(hexagon_geometry):
     with pytest.raises(Inconsistent):
         build_singular_system(hexagon_geometry, np.array([10.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-3, 1.0, 3e4, 1e5, 1e6])
+def test_consistency_slack_scales_with_the_lengths(radius, rng):
+    # rhs = L^2 - (1 + mu^2)|B|^2 cancels at the resting pose, so the slack
+    # scales with max L^2, not with rhs: at every radius real poses pass and
+    # lengths bumped by up to 1e-3 fail
+    geom = PlatformGeometry(base=radius * hexagon_base(), mu=0.5)
+    poses = [Pose(Quaternion(1.0, 0.0, 0.0, 0.0), np.array([0.0, 0.0, radius]))]
+    poses += [Pose(random_unit_quaternion(rng), radius * rng.uniform(-1, 1, 3))
+              for _ in range(30)]
+    for pose in poses:
+        lengths = leg_lengths(geom, pose)
+        build_singular_system(geom, lengths)
+        with pytest.raises(Inconsistent):
+            build_singular_system(geom, lengths * (1.0 + rng.uniform(-1e-3, 1e-3, 6)))
 
 
 def test_rank_six_base_rejected():
