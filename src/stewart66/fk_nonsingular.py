@@ -13,7 +13,9 @@ self-motion sweep and feasibility scan are one batch over their grid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +50,7 @@ LATER, EARLIER = np.nonzero(np.tri(4, k=-1, dtype=bool))
 DROPS = LATER[:, None] == np.arange(4)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FkSolution:
     pose: Pose
     rotation_index: int  # 1-based index into the candidate list
@@ -108,56 +110,48 @@ class SolutionArrays:
     def solutions(self) -> list:
         """One list of FkSolution per row, ordered by (candidate, + before -).
 
-        The accepted points are gathered and checked as one batch against
-        what Pose and Quaternion require; the objects are then built
-        without repeating those checks one object at a time.
+        The accepted points are gathered by one flat index and checked as
+        one batch against what Pose and Quaternion require; the objects are
+        then filled column-wise by _fill, one Quaternion per pose, without
+        repeating those checks one object at a time.
         """
-        rows, slots, branches = np.nonzero(self.accepted)
-        plates = self.orientations[rows, slots]
-        positions = self.positions[rows, slots, branches]
+        points = np.flatnonzero(self.accepted)  # flat (row, slot, branch)
+        candidates = points // 2                # flat (row, slot)
+        plates = self.orientations.reshape(-1, 4).take(candidates, axis=0)
+        positions = self.positions.reshape(-1, 3).take(points, axis=0)
         if not np.isfinite(positions).all():
             raise ValidationError("position must be finite")
         off = np.abs(np.sqrt(np.add.reduce(plates * plates, axis=1)) - 1.0)
-        plates = plates.tolist()
         # canonicalize has renormalized every candidate, so Quaternion would
         # keep each as it is; any that is not (NaN included) takes the
         # constructor's own check and renormalization.  The half margin
         # covers the ulp by which x*x here and x**2 there can differ.
         if not (off <= 0.5 * RENORM_TOL).all():
-            plates = [Quaternion(*q).as_array().tolist() for q in plates]
-        index = np.cumsum(self.rotations.kept, axis=1)[rows, slots]
-        return _unchecked_solutions(
-            len(self.accepted), rows.tolist(), slots.tolist(), plates, list(positions),
-            index.tolist(), self.signs[rows, slots, branches].tolist(),
-            self.residuals[rows, slots, branches].tolist())
+            plates = np.array([Quaternion(*q).as_array() for q in plates.tolist()])
+        found = _fill(FkSolution, _fill(Pose, _fill(Quaternion, *plates.T.tolist()), list(positions)),
+                      self.rotations.kept.cumsum(axis=1).take(candidates).tolist(),
+                      self.signs.take(points).tolist(), self.residuals.take(points).tolist())
+        # points run row by row, so each row's solutions are one slice
+        stops = np.bincount(candidates // 4, minlength=len(self.accepted)).cumsum().tolist()
+        return list(map(found.__getitem__, map(slice, [0, *stops], stops)))
 
 
-def _unchecked_solutions(n, rows, slots, plates, positions, index, signs, residuals) -> list:
-    """Per-row lists of FkSolution for n rows, from values that
-    SolutionArrays.solutions has checked.
+# Runs an iterator to its end and keeps nothing of it.
+_consume = deque(maxlen=0).extend
 
-    Quaternion and Pose are built without __init__, so their __post_init__
-    checks are not repeated per object; fields are set one at a time, as
-    the dataclass __init__ sets them.  Both branches of a candidate share
-    one Quaternion.
+
+def _fill(cls, *columns) -> list:
+    """len(columns[0]) new cls objects; object i gets columns[k][i] as the
+    k-th name of cls.__slots__, which is the dataclass field order.
+
+    Each field is set on all objects by one map over its slot descriptor,
+    so neither __init__ nor __post_init__ runs: callers pass only values
+    those checks would keep as they are.
     """
-    new, set_field = object.__new__, object.__setattr__
-    out = [[] for _ in range(n)]
-    previous = None
-    for row, slot, (q0, q1, q2, q3), position, k, sign, residual in zip(
-            rows, slots, plates, positions, index, signs, residuals):
-        if (row, slot) != previous:
-            plate = new(Quaternion)
-            set_field(plate, "q0", q0)
-            set_field(plate, "q1", q1)
-            set_field(plate, "q2", q2)
-            set_field(plate, "q3", q3)
-            previous = (row, slot)
-        pose = new(Pose)
-        set_field(pose, "orientation", plate)
-        set_field(pose, "position", position)
-        out[row].append(FkSolution(pose, k, sign, residual))
-    return out
+    objects = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns, strict=True):
+        _consume(map(getattr(cls, name).__set__, objects, column))
+    return objects
 
 
 def _dot(a, b) -> np.ndarray:

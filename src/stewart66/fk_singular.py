@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotParameterizable, ValidationError
-from .fk_nonsingular import SolutionArrays, solution_arrays, solutions_from_w
+from .fk_nonsingular import SolutionArrays, _fill, solution_arrays, solutions_from_w
 from .geometry import (ConicReport, PlatformGeometry, build_q, conic_report,
                        factor_for_rank)
 from .ik import check_lengths, d_from_lengths
@@ -47,7 +47,7 @@ class SingularSystem:
     conic: ConicReport      # the base's rank test, from the same factorization
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SingularCurveSample:
     """One parameter value on the self-motion family."""
 
@@ -164,11 +164,10 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     feasible = batch.feasible
     residual = np.where(batch.accepted, batch.residuals, -np.inf).max(axis=(1, 2))
     residual[~feasible] = np.nan
-    return [SingularCurveSample(value, w_row, tuple(poses), ok, worst,
-                                None if math.isnan(step) else step)
-            for value, w_row, poses, ok, worst, step in zip(
-                grid.tolist(), w, batch.solutions(), feasible.tolist(), residual.tolist(),
-                _steps(batch).tolist())]
+    steps = _steps(batch)
+    return _fill(SingularCurveSample, grid.tolist(), list(w), list(map(tuple, batch.solutions())),
+                 feasible.tolist(), residual.tolist(),
+                 np.where(np.isnan(steps), None, steps).tolist())
 
 
 def _refine(system: SingularSystem, geom: PlatformGeometry, inside, outside) -> np.ndarray:

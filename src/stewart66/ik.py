@@ -20,7 +20,7 @@ MIN_LEG_LENGTH = 1e-12
 EYE3 = np.eye(3)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pose:
     """Rigid placement of the top plate: orientation quaternion plus center."""
 

@@ -17,7 +17,7 @@ RENORM_TOL = 1e-13
 LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quaternion:
     q0: float
     q1: float

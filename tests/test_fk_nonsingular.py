@@ -11,8 +11,8 @@ from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
 from stewart66.fk_nonsingular import (FkSolution, fk_solve, rotation_candidates,
                                       solution_arrays, solutions_from_w,
                                       sphere_points)
-from stewart66.fk_singular import (build_singular_system, recover_poses, sweep,
-                                   w_at, w_at_arc)
+from stewart66.fk_singular import (SingularCurveSample, build_singular_system,
+                                   recover_poses, sweep, w_at, w_at_arc)
 from stewart66.geometry import PlatformGeometry, build_q, factor_for_rank
 from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion, to_matrix
@@ -335,15 +335,71 @@ def assert_same_bytes(got, expected, batch):
             assert type(x) is type(y) and np.array(x).tobytes() == np.array(y).tobytes()
 
 
-def test_sweep_solutions_match_public_constructors(hexagon_geometry):
-    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
-    samples = sweep(system, hexagon_geometry, 0.0, 1.2, 201)
-    batch = solution_arrays(hexagon_geometry, np.array([s.w for s in samples]),
-                            system.lengths)
-    got = [list(s.poses) for s in samples]
-    assert sum(map(len, got)) > 600
-    assert_same_bytes(got, constructed(batch), batch)
+def constructed_samples(grid, w, batch):
+    """SingularCurveSample values built by the public constructor from the
+    arrays of a sweep; step_from_prev is the nearest-pose gap, formed pose
+    pair by pose pair."""
+    out, previous = [], []
+    for value, w_row, poses in zip(grid.tolist(), w, constructed(batch)):
+        steps = []
+        for a in previous:
+            for b in poses:
+                dq = b.pose.orientation.as_array() - a.pose.orientation.as_array()
+                dp = b.pose.position - a.pose.position
+                steps.append(np.hypot(np.sqrt(np.sum(dq * dq)), np.sqrt(np.sum(dp * dp))))
+        out.append(SingularCurveSample(
+            value, w_row, tuple(poses), bool(poses),
+            max((s.leg_residual for s in poses), default=math.nan),
+            float(min(steps)) if steps else None))
+        previous = poses
+    return out
+
+
+def assert_same_samples(got, expected, batch):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert type(a.parameter) is float and a.parameter == b.parameter
+        assert a.w.dtype == float and a.w.shape == (6,) and a.w.tobytes() == b.w.tobytes()
+        assert type(a.poses) is tuple and type(a.feasible) is bool
+        assert a.feasible is b.feasible
+        assert type(a.leg_residual) is float
+        assert np.array(a.leg_residual).tobytes() == np.array(b.leg_residual).tobytes()
+        assert a.feasible or math.isnan(a.leg_residual)
+        assert type(a.step_from_prev) is type(b.step_from_prev)
+        assert a.step_from_prev is None or (np.float64(a.step_from_prev).tobytes()
+                                            == np.float64(b.step_from_prev).tobytes())
+    assert_same_bytes([list(s.poses) for s in got], [list(s.poses) for s in expected], batch)
+
+
+def sweep_against_constructors(geom, w1_min, w1_max, samples) -> list:
+    system = build_singular_system(geom, np.full(6, math.sqrt(1.25)))
+    got = sweep(system, geom, w1_min, w1_max, samples)
+    grid = np.linspace(w1_min, w1_max, samples)
+    w = w_at(system, grid)
+    batch = solution_arrays(geom, w, system.lengths)
+    assert_same_samples(got, constructed_samples(grid, w, batch), batch)
     assert_same_bytes(batch.solutions(), constructed(batch), batch)
+    return got
+
+
+def test_sweep_solutions_match_public_constructors(hexagon_geometry):
+    # feasible up to w1 = 1, infeasible beyond
+    got = sweep_against_constructors(hexagon_geometry, 0.0, 1.2, 201)
+    assert sum(len(s.poses) for s in got) > 600
+    assert not all(s.feasible for s in got)
+
+
+def test_infeasible_sweep_matches_public_constructors(hexagon_geometry):
+    got = sweep_against_constructors(hexagon_geometry, 1.5, 2.0, 7)
+    assert not any(s.feasible for s in got)
+
+
+def test_solutions_without_an_accepted_point_are_empty_lists(hexagon_geometry):
+    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    batch = solution_arrays(hexagon_geometry, w_at(system, [1.5, 1.75, 2.0]),
+                            system.lengths)
+    assert not batch.accepted.any()
+    assert batch.solutions() == [[], [], []]
 
 
 def test_fk_solve_solutions_match_public_constructors(rng):
