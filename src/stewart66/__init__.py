@@ -5,8 +5,8 @@ self-motion family on conic bases."""
 
 from .errors import (DegenerateBase, DegenerateLeg, DuplicateVertex,
                      Inconsistent, Infeasible, KinematicsError,
-                     NotParameterizable, NotUnit, ParallelPlanes,
-                     SingularBase, ValidationError, WrongRank)
+                     NotParameterizable, NotUnit, SingularBase,
+                     ValidationError, WrongRank)
 from .fk_nonsingular import FkSolution, fk_solve
 from .fk_singular import (SingularCurveSample, SingularSystem,
                           build_singular_system, feasible_interval,
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConicReport", "DegenerateBase", "DegenerateLeg", "DuplicateVertex",
     "FkSolution", "Inconsistent", "Infeasible", "KinematicsError",
-    "NotParameterizable", "NotUnit", "ParallelPlanes",
-    "PlatformGeometry", "Pose", "Quaternion", "SingularBase",
-    "SingularCurveSample", "SingularSystem", "ValidationError", "WrongRank",
+    "NotParameterizable", "NotUnit", "PlatformGeometry", "Pose",
+    "Quaternion", "SingularBase", "SingularCurveSample", "SingularSystem",
+    "ValidationError", "WrongRank",
     "build_singular_system", "conic_check", "feasible_interval", "fk_solve",
     "leg_lengths", "make_circle_base", "recover_poses", "sweep", "w_at",
     "w_at_arc",

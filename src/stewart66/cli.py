@@ -38,14 +38,19 @@ def _num(x) -> str:
     return repr(_jfloat(x))
 
 
-def _load_json(path):
+def _load_object(path, what, *keys) -> dict:
+    """The JSON object in file path; ValidationError "path: what" unless it
+    is one and holds every key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or not all(key in data for key in keys):
+        raise ValidationError(f"{path}: {what}")
+    return data
 
 
 def _reals(path, data, key, ndim) -> np.ndarray:
@@ -65,31 +70,21 @@ def _reals(path, data, key, ndim) -> np.ndarray:
 
 
 def load_geometry(path) -> PlatformGeometry:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: geometry file must be a JSON object")
-    has_base = "base" in data
-    has_angles = "circle_angles" in data
-    if has_base == has_angles:
+    data = _load_object(path, "geometry file must be a JSON object")
+    if ("base" in data) == ("circle_angles" in data):
         raise ValidationError(f"{path}: provide exactly one of 'base' or 'circle_angles'")
     if "mu" not in data:
         raise ValidationError(f"{path}: 'mu' is required (it never defaults)")
-    try:
-        if has_angles:
-            base = make_circle_base(_reals(path, data, "circle_angles", 1))
-        else:
-            base = _reals(path, data, "base", 2)
-        top = _reals(path, data, "A", 2) if "A" in data else None
-        return PlatformGeometry(base=base, mu=float(_reals(path, data, "mu", 0)),
-                                top_transform=top)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed geometry: {exc}") from exc
+    if "base" in data:
+        base = _reals(path, data, "base", 2)
+    else:
+        base = make_circle_base(_reals(path, data, "circle_angles", 1))
+    top = _reals(path, data, "A", 2) if "A" in data else None
+    return PlatformGeometry(base=base, mu=float(_reals(path, data, "mu", 0)), top_transform=top)
 
 
 def load_pose(path) -> Pose:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "q" not in data or "P" not in data:
-        raise ValidationError(f"{path}: pose file needs 'q' (4 reals) and 'P' (3 reals)")
+    data = _load_object(path, "pose file needs 'q' (4 reals) and 'P' (3 reals)", "q", "P")
     q, p = _reals(path, data, "q", 1), _reals(path, data, "P", 1)
     if len(q) != 4 or len(p) != 3:
         raise ValidationError(f"{path}: 'q' must have 4 components and 'P' 3")
@@ -97,9 +92,7 @@ def load_pose(path) -> Pose:
 
 
 def load_lengths(path) -> np.ndarray:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "L" not in data:
-        raise ValidationError(f"{path}: lengths file needs key 'L' with 6 reals")
+    data = _load_object(path, "lengths file needs key 'L' with 6 reals", "L")
     return check_lengths(_reals(path, data, "L", 1))
 
 
@@ -198,6 +191,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_GEOM = ("--geom", None, "geometry JSON")
+_LEGS = ("--legs", None, 'lengths JSON {"L": [6]}')
+# (command, help, handler, options as (flag, type, help)); every option is required
+_COMMANDS = (
+    ("ik", "leg lengths from a pose", cmd_ik,
+     (_GEOM, ("--pose", None, 'pose JSON {"q": [4], "P": [3]}'))),
+    ("fk", "isolated poses from leg lengths (base off any conic)", cmd_fk, (_GEOM, _LEGS)),
+    ("sweep", "sample the self-motion family (conic base)", cmd_sweep,
+     (_GEOM, _LEGS, ("--w1-min", float, None), ("--w1-max", float, None),
+      ("--samples", int, None), ("--out", None, "CSV path for the sampled curve"))),
+    ("check", "conic/rank report for a base", cmd_check, (_GEOM,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stewart66",
@@ -206,29 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "radius 1; rescale lengths for other radii.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ik", help="leg lengths from a pose")
-    p.add_argument("--geom", required=True, help="geometry JSON")
-    p.add_argument("--pose", required=True, help='pose JSON {"q": [4], "P": [3]}')
-    p.set_defaults(func=cmd_ik)
-
-    p = sub.add_parser("fk", help="isolated poses from leg lengths (base off any conic)")
-    p.add_argument("--geom", required=True, help="geometry JSON")
-    p.add_argument("--legs", required=True, help='lengths JSON {"L": [6]}')
-    p.set_defaults(func=cmd_fk)
-
-    p = sub.add_parser("sweep", help="sample the self-motion family (conic base)")
-    p.add_argument("--geom", required=True, help="geometry JSON")
-    p.add_argument("--legs", required=True, help='lengths JSON {"L": [6]}')
-    p.add_argument("--w1-min", type=float, required=True, dest="w1_min")
-    p.add_argument("--w1-max", type=float, required=True, dest="w1_max")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--out", required=True, help="CSV path for the sampled curve")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("check", help="conic/rank report for a base")
-    p.add_argument("--geom", required=True, help="geometry JSON")
-    p.set_defaults(func=cmd_check)
+    for name, text, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag, kind, note in options:
+            p.add_argument(flag, type=kind, required=True, help=note)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -236,9 +225,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KinematicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3

@@ -41,9 +41,5 @@ class Infeasible(KinematicsError):
     """No rotation/position candidate is compatible with the data."""
 
 
-class ParallelPlanes(KinematicsError):
-    """The two position planes do not intersect in a line."""
-
-
 class NotParameterizable(KinematicsError):
     """Null direction has (numerically) no w1 component; use arc length."""

@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, ParallelPlanes, ValidationError
+from .errors import Infeasible, ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import EYE3, MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
 from .rotation import RENORM_TOL, Quaternion, canonicalize, from_matrices, to_matrices
@@ -33,8 +33,6 @@ UNIT_TOL = 1e-6
 DEDUP_TOL = 1e-9
 # Squared half-chord below this collapses the two sphere points into one.
 TANGENT_EPS = 1e-10
-# |u x v| below this means the two position planes define no line.
-PLANE_TOL = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
 
@@ -220,33 +218,32 @@ def sphere_points(w, ra, mu: float):
     """Sphere-line intersections for rotation candidates.
 
     w is W[N, 6] and ra the combined rotations R @ A (N, K, 3, 3).  The
-    planes u.P = w2 and v.P = w3 meet in the line r0 + t*r1; the sphere
-    |P|^2 = w1 picks out up to two parameters t.  Returns points
-    (N, K, 2, 3), signs (N, K, 2) and hit (N, K, 2): branch 0 is the +
-    point, or the tangency point with sign 0, branch 1 the - point.
-    Raises ParallelPlanes when a candidate's planes define no line.
+    planes u.P = w2 and v.P = w3 meet in the line r0 + t*n, n = u x v, whose
+    point nearest the origin is r0 = ((w2*v - w3*u) x n) / |n|^2; the sphere
+    |P|^2 = w1 picks out up to two parameters t.  u and v are columns of
+    2 * (mu * R @ A - I), which is invertible for mu < 1, so n never
+    vanishes.  Returns points (N, K, 2, 3), signs (N, K, 2) and hit
+    (N, K, 2): branch 0 is the + point, or the tangency point with sign 0,
+    branch 1 the - point.
     """
     w = np.asarray(w, dtype=float)
     # columns 0 and 1 of 2 * (mu * ra - I)
     u = 2.0 * (mu * ra[..., :, 0] - EYE3[0])
     v = 2.0 * (mu * ra[..., :, 1] - EYE3[1])
-    cr = _cross(u, v)
-    norm_cr = np.sqrt(_dot(cr, cr))
-    if (norm_cr < PLANE_TOL).any():
-        raise ParallelPlanes("position planes are parallel: no line of candidates")
+    n = _cross(u, v)
+    nn = _dot(n, n)
     w1, w2, w3 = w[:, 0, None], w[:, 1, None], w[:, 2, None]
-    uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
-    den = uu * vv - uv * uv
     # in place from here on: these (N, K, 3) arrays dominate the kernel's memory
-    r0 = (vv * w2 - uv * w3)[..., None] * u
-    r0 += (uu * w3 - uv * w2)[..., None] * v
-    r0 /= den[..., None]
+    v *= w2[..., None]
+    u *= w3[..., None]
+    v -= u
+    r0 = _cross(v, n)
     del u, v
+    r0 /= nn[..., None]
     chord2 = w1 - _dot(r0, r0)
     tangent = chord2 <= TANGENT_EPS
-    step = cr
-    step /= norm_cr[..., None]
-    step *= np.sqrt(np.where(tangent, 0.0, chord2))[..., None]
+    step = n
+    step *= (np.sqrt(np.where(tangent, 0.0, chord2)) / np.sqrt(nn))[..., None]
     points = np.empty(tangent.shape + (2, 3))
     np.add(r0, step, out=points[..., 0, :])
     np.subtract(r0, step, out=points[..., 1, :])
@@ -268,14 +265,11 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     w = np.asarray(w, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     rotations = rotation_candidates(w, geom.mu)
+    # candidates carry the combined rotation R*A; the plate's own R is
+    # needed only to hand out orientations
+    ra = to_matrices(rotations.quaternions)
     a = geom.top_transform
-    if (a == EYE3).all():
-        orientations = rotations.quaternions
-        ra = to_matrices(orientations)
-    else:
-        # candidates carry the combined rotation R*A; peel A back off
-        orientations = from_matrices(to_matrices(rotations.quaternions) @ a.T)
-        ra = to_matrices(orientations) @ a
+    orientations = rotations.quaternions if (a == EYE3).all() else from_matrices(ra @ a.T)
     points, signs, hit = sphere_points(w, ra, geom.mu)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     residuals = np.full(hit.shape, np.nan)

@@ -56,7 +56,9 @@ class SingularCurveSample:
     poses: tuple            # FkSolution values, empty when infeasible
     feasible: bool
     leg_residual: float     # max over poses; nan when infeasible
-    step_from_prev: Optional[float]  # nearest-pose gap to the previous feasible sample
+    # nearest-pose gap to the previous sample; None for the first sample and
+    # when either sample is infeasible
+    step_from_prev: Optional[float]
 
 
 def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
@@ -155,8 +157,6 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
         raise ValidationError(f"need at least 2 samples, got {samples}")
     if not w1_max > w1_min:
         raise ValidationError("w1_max must exceed w1_min")
-    if system.parameterizable_by_w1 and w1_min < 0.0:
-        raise ValidationError("w1 is a squared position norm, must be >= 0")
     locate = w_at if system.parameterizable_by_w1 else w_at_arc
     grid = np.linspace(w1_min, w1_max, count)
     w = locate(system, grid)

@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from stewart66.errors import DegenerateLeg, Infeasible
-from stewart66.fk_nonsingular import (CLAMP_TOL, DEDUP_TOL, PLANE_TOL,
-                                      RESIDUAL_TOL, TANGENT_EPS, UNIT_TOL,
-                                      solution_arrays)
+from stewart66.fk_nonsingular import (CLAMP_TOL, DEDUP_TOL, RESIDUAL_TOL,
+                                      TANGENT_EPS, UNIT_TOL, solution_arrays)
 from stewart66.fk_singular import BISECT_TOL, SCAN_POINTS, recover_poses, w_at
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion, to_matrix
@@ -89,7 +88,7 @@ def sphere_points(w, q, geom):
     u, v = 2.0 * m[:, 0], 2.0 * m[:, 1]
     cr = np.cross(u, v)
     norm_cr = float(np.linalg.norm(cr))
-    assert norm_cr >= PLANE_TOL
+    assert norm_cr > 0.0
     uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
     w1, w2, w3 = float(w[0]), float(w[1]), float(w[2])
     r0 = ((vv * w2 - uv * w3) * u + (uu * w3 - uv * w2) * v) / (uu * vv - uv * uv)

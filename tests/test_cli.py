@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import collinear_base
-from stewart66 import linalg
+from stewart66 import cli, errors, linalg
 from stewart66.cli import main
 
 HEX_GEOM = {"circle_angles": [k * math.pi / 3 for k in range(6)], "mu": 0.5}
@@ -297,6 +297,20 @@ def test_check_duplicate_vertices_exit_2(tmp_path, capsys):
                  {"base": [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5]],
                   "mu": 0.5})
     assert main(["check", "--geom", geom]) == 2
+
+
+ERRORS = [cls for cls in vars(errors).values()
+          if isinstance(cls, type) and issubclass(cls, errors.KinematicsError)]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=[cls.__name__ for cls in ERRORS])
+def test_every_kinematics_error_maps_to_its_exit_code(error, hex_geom, monkeypatch, capsys):
+    def fail(base):
+        raise error("stop here")
+    monkeypatch.setattr(cli, "conic_check", fail)
+    expected = 2 if issubclass(error, errors.ValidationError) else 3
+    assert main(["check", "--geom", hex_geom]) == expected
+    assert capsys.readouterr() == ("", "error: stop here\n")
 
 
 def test_check_repeated_runs_identical(hex_geom, capsys):

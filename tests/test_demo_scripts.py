@@ -7,15 +7,31 @@ from pathlib import Path
 import pytest
 
 import stewart66
+from stewart66 import FkSolution, Infeasible, Pose, Quaternion, SingularBase
 
-DEMO = Path(__file__).resolve().parents[1] / "scripts" / "selfmotion_demo.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DEMO = SCRIPTS / "selfmotion_demo.py"
+CENSUS = SCRIPTS / "fk_census.py"
 
 
-def load_demo():
-    spec = importlib.util.spec_from_file_location("selfmotion_demo", DEMO)
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_demo():
+    return load_script(DEMO)
+
+
+def run_script(script, argv):
+    # the package as this test imports it, whether installed or on a path
+    src = str(Path(stewart66.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -24,12 +40,18 @@ def load_demo():
     (["--mu", "1.5"], "error: mu must lie strictly between 0 and 1, got 1.5"),
 ])
 def test_selfmotion_demo_refuses_bad_arguments(argv, message):
-    # the package as this test imports it, whether installed or on a path
-    src = str(Path(stewart66.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(DEMO), *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_script(DEMO, argv)
+    assert proc.returncode == 2
+    assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "-3"], "error: need at least 1 trial, got -3"),
+    (["--trials", "0"], "error: need at least 1 trial, got 0"),
+    (["--mu", "1.5"], "error: mu must lie strictly between 0 and 1, got 1.5"),
+])
+def test_census_refuses_bad_arguments(argv, message):
+    proc = run_script(CENSUS, argv)
     assert proc.returncode == 2
     assert proc.stderr == message + "\n"
 
@@ -46,3 +68,54 @@ def test_selfmotion_demo_walks_the_hexagon(capsys):
     out = capsys.readouterr().out
     assert "feasible w1 intervals within [0, 5]: [(0.0, 1.0)]" in out
     assert "max leg-length drift over 101 samples" in out
+
+
+def census_with(monkeypatch, capsys, answer, trials=5):
+    """Run fk_census with fk_solve replaced by answer(geom, lengths); returns
+    (exit code, stdout, stderr)."""
+    census = load_script(CENSUS)
+    monkeypatch.setattr(census, "fk_solve", answer)
+    code = census.main(["--trials", str(trials)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_census_finds_every_seed_pose(capsys):
+    assert load_script(CENSUS).main(["--trials", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("20 random poses on the off-conic base (mu = 0.5):\n")
+    assert out.endswith("seed pose missing from the solution set: 0 times\n")
+
+
+def test_census_counts_a_wrong_orientation_as_a_miss(monkeypatch, capsys):
+    # right positions, every orientation turned a quarter about z
+    turn = Quaternion(0.5 ** 0.5, 0.0, 0.0, 0.5 ** 0.5)
+
+    def turned(geom, lengths):
+        return [FkSolution(Pose(turn, s.pose.position), s.rotation_index, s.position_sign,
+                           s.leg_residual) for s in stewart66.fk_solve(geom, lengths)]
+    code, out, _ = census_with(monkeypatch, capsys, turned)
+    assert code == 0
+    assert out.endswith("seed pose missing from the solution set: 5 times\n")
+
+
+def raising(error):
+    def answer(geom, lengths):
+        raise error
+    return answer
+
+
+@pytest.mark.parametrize("answer", [
+    lambda geom, lengths: [],
+    raising(Infeasible("no rotation fits these lengths")),
+], ids=["empty", "refused"])
+def test_census_counts_an_empty_or_refused_answer_as_a_miss(answer, monkeypatch, capsys):
+    code, out, _ = census_with(monkeypatch, capsys, answer)
+    assert code == 0
+    assert "  0 realizable solutions:      5  (100.0%)\n" in out
+    assert out.endswith("seed pose missing from the solution set: 5 times\n")
+
+
+def test_census_exits_3_on_another_solver_failure(monkeypatch, capsys):
+    answer = raising(SingularBase("base lies on a conic"))
+    assert census_with(monkeypatch, capsys, answer) == (3, "", "error: base lies on a conic\n")

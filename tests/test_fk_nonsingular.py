@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (collinear_base, hexagon_base, pose_gap,
+from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
                      random_feasible_pose, random_generic_base, random_rotation)
 from stewart66 import linalg
 from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
                               ValidationError)
-from stewart66.fk_nonsingular import (FkSolution, fk_solve, rotation_candidates,
-                                      solution_arrays, solutions_from_w,
-                                      sphere_points)
+from stewart66.fk_nonsingular import (RESIDUAL_TOL, FkSolution, fk_solve,
+                                      rotation_candidates, solution_arrays,
+                                      solutions_from_w, sphere_points)
 from stewart66.fk_singular import (SingularCurveSample, build_singular_system,
                                    recover_poses, sweep, w_at, w_at_arc)
-from stewart66.geometry import PlatformGeometry, build_q, factor_for_rank
+from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
+                                factor_for_rank)
 from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion, to_matrix
 
@@ -209,6 +210,54 @@ def test_fk_round_trip_with_top_rotation(rng):
         lengths = leg_lengths(geom, pose)
         sols = fk_solve(geom, lengths)
         assert min(pose_gap(s.pose, pose) for s in sols) <= 1e-8
+
+
+# the quarter turn about (1, 1, 0)/sqrt(2) and a fixed generic orientation
+NEAR_MU_ORIENTATIONS = {
+    "identity": (1.0, 0.0, 0.0, 0.0),
+    "quarter_turn": (ROOT_HALF, 0.5, 0.5, 0.0),
+    "generic": tuple(np.array([0.9, 0.2, -0.3, 0.25]) / np.linalg.norm([0.9, 0.2, -0.3, 0.25])),
+}
+
+
+@pytest.mark.parametrize("orientation", NEAR_MU_ORIENTATIONS)
+@pytest.mark.parametrize("gap", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_fk_recovers_seed_pose_as_mu_nears_one(orientation, gap):
+    # mu*R*A - I shrinks with 1 - mu, and |u x v| with its square, yet the
+    # two position planes still meet in one line
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=1.0 - gap)
+    pose = Pose(Quaternion(*NEAR_MU_ORIENTATIONS[orientation]), np.array([0.1, -0.2, 0.9]))
+    sols = fk_solve(geom, leg_lengths(geom, pose))
+    assert min(pose_gap(s.pose, pose) for s in sols) <= 1e-8
+
+
+@pytest.mark.parametrize("orientation", NEAR_MU_ORIENTATIONS)
+def test_position_stage_stays_finite_next_to_mu_one(orientation):
+    # RuntimeWarning is an error under pytest: no division may blow up here,
+    # no orientation is refused, and whatever comes back passes the audit
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=1.0 - 1e-10)
+    pose = Pose(Quaternion(*NEAR_MU_ORIENTATIONS[orientation]), np.array([0.1, -0.2, 0.9]))
+    lengths = leg_lengths(geom, pose)
+    tol = RESIDUAL_TOL * (1.0 + lengths.max())
+    for sol in fk_solve(geom, lengths):
+        assert np.abs(leg_lengths(geom, sol.pose) - lengths).max() <= tol
+
+
+def test_fk_poses_pass_the_audit_with_a_skewed_top_transform(rng):
+    # A may miss orthogonality by ORTHOGONALITY_TOL; the candidates carry an
+    # exact rotation R*A, the returned plate R is read back through A^T, and
+    # leg_lengths multiplies by A again
+    for _ in range(50):
+        s = rng.uniform(-1.0, 1.0, (3, 3))
+        s = (s + s.T) / 2.0
+        s *= 0.99 * ORTHOGONALITY_TOL / (2.0 * np.abs(s).max())
+        top = random_rotation(rng) @ (np.eye(3) + s)
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=top)
+        lengths = leg_lengths(geom, random_feasible_pose(geom, rng))
+        tol = RESIDUAL_TOL * (1.0 + lengths.max())
+        for sol in fk_solve(geom, lengths):
+            assert np.abs(leg_lengths(geom, sol.pose) - lengths).max() <= tol
 
 
 def test_fk_no_spurious_solutions_for_inflated_lengths(perturbed_geometry, rng):

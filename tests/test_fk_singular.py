@@ -99,6 +99,12 @@ def test_w_at_rejects_negative_parameter(resting_system):
         w_at(resting_system, -0.1)
 
 
+def test_sweep_rejects_a_negative_lower_bound(resting_system, hexagon_geometry):
+    # the grid starts exactly at w1_min, so w_at sees the bound itself
+    with pytest.raises(ValidationError, match=r"must be >= 0, got -1\.0$"):
+        sweep(resting_system, hexagon_geometry, -1.0, 1.0, 11)
+
+
 def test_affine_line_property(hexagon_geometry, rng):
     geom = PlatformGeometry(base=random_circle_base(rng), mu=0.45)
     pose = random_feasible_pose(geom, rng)
