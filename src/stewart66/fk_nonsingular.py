@@ -277,8 +277,13 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     # every kept (row, slot) with a sphere point at once; legs are (M, 2, 6, 3)
     rows, slots = np.nonzero(rotations.kept & hit[..., 0])
     legs = leg_vectors(geom, ra[rows, slots, None], points[rows, slots])
-    # np.linalg.norm(legs, axis=-1), squaring in place
-    audited = np.sqrt(np.add.reduce(np.multiply(legs, legs, out=legs), axis=-1))
+    # np.linalg.norm(legs, axis=-1), one component at a time: add.reduce over
+    # the components, which lie 6 apart in legs, costs more than the
+    # arithmetic.  The sum runs left to right, as add.reduce runs it.
+    legs *= legs
+    audited = legs[..., 0] + legs[..., 1]
+    audited += legs[..., 2]
+    np.sqrt(audited, out=audited)
     residual = np.abs(audited - lengths).max(axis=-1)
     residuals[rows, slots] = residual
     accepted[rows, slots] = (hit[rows, slots] & (audited >= MIN_LEG_LENGTH).all(axis=-1)

@@ -13,6 +13,7 @@ cells and evaluates all their points as one batch per round.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -103,6 +104,17 @@ def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
     return system.particular + np.multiply.outer(_finite(arc, "arc length"), system.null_dir)
 
 
+def _check_finite_real(value, name: str) -> None:
+    # a bool is refused: it is an int, and True would pass as 1.0
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _finite(values, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
@@ -123,21 +135,55 @@ def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     return solutions
 
 
+def _squared_gaps(points) -> np.ndarray:
+    """|x[n+1, j] - x[n, i]|^2 for points x (N, K, C): (K, K, N - 1).
+
+    The components are added one at a time, left to right, as
+    (d * d).sum(axis=-1) adds fewer than eight terms, so every value is
+    bit-equal to that sum.  Each component is copied with its rows last,
+    so every broadcast's inner loop is N long.
+    """
+    columns = (np.ascontiguousarray(points[..., c].T) for c in range(points.shape[-1]))
+    x = next(columns)
+    total = np.subtract(x[None, :, 1:], x[:, None, :-1])
+    total *= total
+    d = np.empty_like(total)
+    for x in columns:
+        np.subtract(x[None, :, 1:], x[:, None, :-1], out=d)
+        d *= d
+        total += d
+    return total
+
+
 def _steps(batch: SolutionArrays) -> np.ndarray:
     """Per row, the smallest pose gap hypot(|dq|, |dP|) to any pose of the
-    row before; nan where either row has no pose."""
-    q, p, ok = batch.orientations, batch.positions, batch.accepted
-    best = np.full(len(ok) - 1, np.inf)
-    # one previous (candidate, branch) slot at a time keeps the gaps at (N, 4, 2)
-    for k in range(4):
-        dq = q[1:] - q[:-1, k, None]
-        dq = np.sqrt((dq * dq).sum(axis=-1))[..., None]
-        for b in range(2):
-            dp = p[1:] - p[:-1, k, b, None, None]
-            gap = np.hypot(dq, np.sqrt((dp * dp).sum(axis=-1)))
-            gap = np.where(ok[1:] & ok[:-1, k, b, None, None], gap, np.inf)
-            best = np.minimum(best, gap.min(axis=(1, 2)))
-    return np.concatenate([[np.nan], np.where(np.isfinite(best), best, np.nan)])
+    row before; nan where either row has no pose.
+
+    One pass ranks all 8 x 8 pose pairs of neighbouring rows by the key
+    |dq|^2 + |dP|^2, with the key infinite unless both poses are accepted.
+    hypot(|dq|, |dP|) is the square root of the key to within a few ulps,
+    so the pair with the smallest hypot has a key within a 1e-12 relative
+    margin of the row's smallest; hypot is taken on those pairs only, and
+    its minimum over them is the minimum over every pair.
+    """
+    n = len(batch.accepted) - 1
+    # (point, row), rows last as in _squared_gaps
+    ok = np.ascontiguousarray(batch.accepted.reshape(-1, 8).T)
+    dq2 = _squared_gaps(batch.orientations)
+    dp2 = _squared_gaps(batch.positions.reshape(-1, 8, 3))
+    # a pose is a (slot, branch) point; a pair's key adds its slots' dq2
+    shape = (4, 2, 4, 2, n)
+    pair = (ok[:, None, :-1] & ok[None, :, 1:]).reshape(shape)
+    key = np.full(shape, np.inf)
+    np.add(dp2.reshape(shape), dq2[:, None, :, None], out=key, where=pair)
+    key = key.reshape(64, n)
+    near = key <= key.min(axis=0) * (1.0 + 1e-12)
+    near &= pair.reshape(64, n)
+    gaps = np.full(shape, np.inf)
+    np.hypot(np.sqrt(dq2)[:, None, :, None], np.sqrt(dp2, out=dp2).reshape(shape), out=gaps,
+             where=near.reshape(shape))
+    best = gaps.reshape(64, n).min(axis=0)
+    return np.concatenate([[np.nan], np.where(best < np.inf, best, np.nan)])
 
 
 def sweep(system: SingularSystem, geom: PlatformGeometry,
@@ -147,8 +193,8 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     Infeasible samples are recorded, not fatal.  Grid values are w1, or
     arc length when the system is not w1-parameterizable.
     """
-    if not (math.isfinite(w1_min) and math.isfinite(w1_max)):
-        raise ValidationError("sweep bounds must be finite")
+    _check_finite_real(w1_min, "w1_min")
+    _check_finite_real(w1_max, "w1_max")
     try:
         count = operator.index(samples)
     except TypeError:
@@ -210,8 +256,9 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     """
     if not system.parameterizable_by_w1:
         raise NotParameterizable("family is not indexed by w1")
-    if not 0.0 < w1_hint_max < math.inf:
-        raise ValidationError("w1_hint_max must be positive and finite")
+    _check_finite_real(w1_hint_max, "w1_hint_max")
+    if not w1_hint_max > 0.0:
+        raise ValidationError(f"w1_hint_max must be positive, got {w1_hint_max!r}")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
     # first and last feasible scan index of each run, one run a row

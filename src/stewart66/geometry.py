@@ -34,11 +34,7 @@ class PlatformGeometry:
     top_transform: Optional[np.ndarray] = None  # (3, 3); identity when omitted
 
     def __post_init__(self):
-        base = np.array(self.base, dtype=float)
-        if base.shape != (6, 2):
-            raise ValidationError(f"base must be 6 planar points, got shape {base.shape}")
-        if not np.all(np.isfinite(base)):
-            raise ValidationError("base coordinates must be finite")
+        base = _planar_base(self.base)
         diff = base[:, None, :] - base[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
         dist[np.diag_indices(6)] = np.inf
@@ -74,6 +70,23 @@ class ConicReport:
     conic: Optional[np.ndarray]  # unit (1, x, y, x^2, xy, y^2) coefficients, rank 5 only
 
 
+def _planar_base(base) -> np.ndarray:
+    """base as a new float (6, 2) array; ValidationError unless it is six
+    finite planar points given as numbers (float() would read "0.5")."""
+    try:
+        b = np.asarray(base)
+    except ValueError as exc:
+        raise ValidationError(f"base must be 6 planar points: {exc}") from exc
+    if b.dtype.kind not in "iuf":
+        raise ValidationError(f"base coordinates must be numbers, got dtype {b.dtype}")
+    b = np.array(b, dtype=float)
+    if b.shape != (6, 2):
+        raise ValidationError(f"base must be 6 planar points, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("base coordinates must be finite")
+    return b
+
+
 def make_circle_base(angles) -> np.ndarray:
     """Unit-circle vertices (cos t, sin t); angles must be distinct mod 2*pi."""
     th = np.asarray(angles, dtype=float)
@@ -97,8 +110,9 @@ def build_q(base) -> np.ndarray:
 
 
 def conic_check(base) -> ConicReport:
-    """Rank-test the conic matrix; six points on any conic drop it to five."""
-    q = build_q(base)
+    """Rank-test the conic matrix; six points on any conic drop it to five.
+    ValidationError unless base is six finite planar points."""
+    q = build_q(_planar_base(base))
     return conic_report(q, linalg.lu_factor(q))
 
 

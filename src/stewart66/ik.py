@@ -39,9 +39,12 @@ class Pose:
 def leg_vectors(geom: PlatformGeometry, ra, position) -> np.ndarray:
     """Leg vectors (..., 6, 3), row i = (mu*R*A - I) @ B_i + P, for combined
     rotations ra = R @ A (..., 3, 3) and plate positions P (..., 3).  Every
-    B_i has z = 0, so only the first two columns of mu*R*A - I act on it."""
+    B_i has z = 0, so only the first two columns of mu*R*A - I act on it.
+    The rows of every stacked mu*R*A - I meet the base in one matrix
+    product, (rows, 2) @ (2, 6), however many rotations are stacked."""
     m = geom.mu * np.asarray(ra, dtype=float)[..., :2] - EYE3[:, :2]
-    return geom.base @ np.swapaxes(m, -1, -2) + np.asarray(position, dtype=float)[..., None, :]
+    legs = (m.reshape(-1, 2) @ geom.base.T).reshape(m.shape[:-1] + (6,))
+    return legs.swapaxes(-1, -2) + np.asarray(position, dtype=float)[..., None, :]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:

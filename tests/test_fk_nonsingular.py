@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
-                     random_feasible_pose, random_generic_base, random_rotation)
+                     random_circle_base, random_feasible_pose, random_generic_base,
+                     random_rotation)
 from stewart66 import linalg
 from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
                               ValidationError)
-from stewart66.fk_nonsingular import (RESIDUAL_TOL, FkSolution, fk_solve,
+from stewart66.fk_nonsingular import (RESIDUAL_TOL, FkSolution, SolutionArrays, fk_solve,
                                       rotation_candidates, solution_arrays,
                                       solutions_from_w, sphere_points)
-from stewart66.fk_singular import (SingularCurveSample, build_singular_system,
+from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_system,
                                    recover_poses, sweep, w_at, w_at_arc)
 from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
-from stewart66.ik import Pose, d_from_lengths, leg_lengths, w_from_pose
-from stewart66.rotation import Quaternion, to_matrix
+from stewart66.ik import (MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths, leg_vectors,
+                          w_from_pose)
+from stewart66.rotation import Quaternion, to_matrices, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -178,6 +180,41 @@ def test_audit_rejects_points_off_the_lengths(perturbed_geometry, rng):
     assert np.array_equal(off.positions, exact.positions)
     assert not off.accepted.any()
     assert solutions_from_w(perturbed_geometry, w[0], lengths * (1.0 + 1e-6)) == []
+
+
+def test_audit_residuals_match_the_norm_of_each_pose_to_the_byte(rng):
+    # the kernel adds the squared leg components one at a time;
+    # np.linalg.norm and max over one pose are the reference
+    geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4,
+                            top_transform=random_rotation(rng))
+    poses = [random_feasible_pose(geom, rng) for _ in range(20)]
+    # every row's points are the poses of its own w; only row 0 fits the lengths
+    target = leg_lengths(geom, poses[0])
+    batch = solution_arrays(geom, np.array([w_from_pose(geom, p) for p in poses]), target)
+    ra = to_matrices(batch.rotations.quaternions)
+    audited = ~np.isnan(batch.residuals)
+    assert batch.accepted.any() and (audited & ~batch.accepted).any()
+    for row, slot, branch in zip(*np.nonzero(audited)):
+        legs = leg_vectors(geom, ra[row, slot], batch.positions[row, slot, branch])
+        lengths = np.linalg.norm(legs, axis=-1)
+        residual = np.abs(lengths - target).max()
+        assert batch.residuals[row, slot, branch].tobytes() == residual.tobytes()
+        assert batch.accepted[row, slot, branch] == (
+            (branch == 0 or batch.signs[row, slot, 0] != 0) and lengths.min() >= MIN_LEG_LENGTH
+            and residual <= RESIDUAL_TOL * (1.0 + target.max()))
+
+
+@pytest.mark.parametrize("leg", range(6))
+def test_audit_refuses_a_pose_whose_leg_collapses(leg, hexagon_geometry):
+    # P = (1 - mu) * B_leg collapses that leg of the unturned plate; its
+    # length 0 is matched, so only the shortest-leg check can refuse it
+    position = np.append((1.0 - hexagon_geometry.mu) * hexagon_geometry.base[leg], 0.0)
+    pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), position)
+    lengths = np.linalg.norm(leg_vectors(hexagon_geometry, np.eye(3), position), axis=-1)
+    assert lengths[leg] <= 1e-15
+    batch = solution_arrays(hexagon_geometry, w_from_pose(hexagon_geometry, pose)[None], lengths)
+    assert (batch.residuals[~np.isnan(batch.residuals)] <= 1e-12).any()
+    assert not batch.accepted.any()
 
 
 def test_fk_impossible_lengths(perturbed_geometry):
@@ -384,18 +421,20 @@ def assert_same_bytes(got, expected, batch):
             assert type(x) is type(y) and np.array(x).tobytes() == np.array(y).tobytes()
 
 
+def pose_pair_gap(a, b):
+    """hypot(|dq|, |dP|) between two FkSolution poses."""
+    dq = b.pose.orientation.as_array() - a.pose.orientation.as_array()
+    dp = b.pose.position - a.pose.position
+    return np.hypot(np.sqrt(np.sum(dq * dq)), np.sqrt(np.sum(dp * dp)))
+
+
 def constructed_samples(grid, w, batch):
     """SingularCurveSample values built by the public constructor from the
     arrays of a sweep; step_from_prev is the nearest-pose gap, formed pose
     pair by pose pair."""
     out, previous = [], []
     for value, w_row, poses in zip(grid.tolist(), w, constructed(batch)):
-        steps = []
-        for a in previous:
-            for b in poses:
-                dq = b.pose.orientation.as_array() - a.pose.orientation.as_array()
-                dp = b.pose.position - a.pose.position
-                steps.append(np.hypot(np.sqrt(np.sum(dq * dq)), np.sqrt(np.sum(dp * dp))))
+        steps = [pose_pair_gap(a, b) for a in previous for b in poses]
         out.append(SingularCurveSample(
             value, w_row, tuple(poses), bool(poses),
             max((s.leg_residual for s in poses), default=math.nan),
@@ -441,6 +480,85 @@ def test_sweep_solutions_match_public_constructors(hexagon_geometry):
 def test_infeasible_sweep_matches_public_constructors(hexagon_geometry):
     got = sweep_against_constructors(hexagon_geometry, 1.5, 2.0, 7)
     assert not any(s.feasible for s in got)
+
+
+def oracle_steps(batch) -> np.ndarray:
+    """step_from_prev of constructed_samples, nan for None."""
+    n = len(batch.accepted)
+    samples = constructed_samples(np.zeros(n), np.zeros((n, 6)), batch)
+    return np.array([math.nan if s.step_from_prev is None else s.step_from_prev
+                     for s in samples])
+
+
+def tied_rows(batch) -> int:
+    """Rows whose smallest pose-pair gap is reached by more than one pair."""
+    tied, previous = 0, []
+    for poses in constructed(batch):
+        gaps = [pose_pair_gap(a, b) for a in previous for b in poses]
+        tied += len(gaps) > 1 and gaps.count(min(gaps)) > 1
+        previous = poses
+    return tied
+
+
+def hexagon_rows(geom, w1) -> SolutionArrays:
+    system = build_singular_system(geom, np.full(6, math.sqrt(1.25)))
+    return solution_arrays(geom, w_at(system, w1), system.lengths)
+
+
+def tied_by_hand(geom) -> SolutionArrays:
+    """Two rows: the unturned poses at z = +1, z = -1 and z = 5, then one
+    pose turned half about z at the origin.  Its gaps to the first two tie
+    exactly at hypot(sqrt(2), 1)."""
+    accepted = np.zeros((2, 4, 2), dtype=bool)
+    accepted[0, 0] = True
+    accepted[0, 1, 0] = True
+    accepted[1, 2, 0] = True
+    orientations = np.zeros((2, 4, 4))
+    orientations[0, :, 0] = 1.0
+    orientations[1, :, 3] = 1.0
+    positions = np.zeros((2, 4, 2, 3))
+    positions[0, 0, :, 2] = [1.0, -1.0]
+    positions[0, 1, 0, 2] = 5.0
+    return SolutionArrays(rotation_candidates(np.zeros((2, 6)), geom.mu), orientations, positions,
+                          np.zeros((2, 4, 2), dtype=np.int8), np.zeros((2, 4, 2)), accepted)
+
+
+STEP_CASES = {
+    # the symmetric hexagon: mirror-image poses tie exactly
+    "hexagon_ties": lambda g: hexagon_rows(g, np.linspace(0.0, 1.0, 201)),
+    # runs of feasible samples broken by infeasible ones
+    "alternating": lambda g: hexagon_rows(g, np.where(np.arange(40) % 3 == 2, 1.5,
+                                                      np.linspace(0.0, 1.0, 40))),
+    "all_infeasible": lambda g: hexagon_rows(g, np.linspace(1.5, 2.0, 7)),
+    "two_samples": lambda g: hexagon_rows(g, [0.0, 1.0]),
+    "tied_by_hand": tied_by_hand,
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_steps_match_the_pose_pair_oracle_to_the_byte(case, hexagon_geometry):
+    batch = STEP_CASES[case](hexagon_geometry)
+    got = _steps(batch)
+    assert got.dtype == float and got.shape == (len(batch.accepted),)
+    assert got.tobytes() == oracle_steps(batch).tobytes()
+    feasible = batch.feasible
+    assert np.isnan(got[0])
+    assert (np.isnan(got[1:]) == ~(feasible[1:] & feasible[:-1])).all()
+    if case in ("hexagon_ties", "tied_by_hand"):
+        assert tied_rows(batch) > 0
+    if case == "tied_by_hand":
+        assert got[1] == np.hypot(math.sqrt(2.0), 1.0)
+
+
+def test_steps_match_the_oracle_with_eight_poses_a_row(rng):
+    geom = PlatformGeometry(base=random_circle_base(rng), mu=0.4,
+                            top_transform=random_rotation(rng))
+    pose = random_feasible_pose(geom, rng)
+    system = build_singular_system(geom, leg_lengths(geom, pose))
+    w1 = float(pose.position @ pose.position)
+    batch = solution_arrays(geom, w_at(system, np.linspace(w1, w1 + 0.3, 101)), system.lengths)
+    assert batch.accepted.sum(axis=(1, 2)).max() == 8
+    assert _steps(batch).tobytes() == oracle_steps(batch).tobytes()
 
 
 def test_solutions_without_an_accepted_point_are_empty_lists(hexagon_geometry):

@@ -183,6 +183,29 @@ def test_sweep_validates_grid(hexagon_geometry, resting_system):
         sweep(resting_system, hexagon_geometry, 0.0, 1.0, 2.5)
 
 
+@pytest.mark.parametrize("bounds", [(None, 1.0), (0.0, None), ("0", 1.0), (0.0, "1"),
+                                    (False, 1.0), (0.0, True), (0.0, math.nan), (0.0, 10 ** 400)])
+def test_sweep_refuses_bounds_that_are_not_real_numbers(bounds, hexagon_geometry,
+                                                        resting_system):
+    # float() would read "1" and True, and None would raise TypeError
+    with pytest.raises(ValidationError, match="must be a finite real number"):
+        sweep(resting_system, hexagon_geometry, *bounds, 10)
+
+
+@pytest.mark.parametrize("hint", [None, "5", True, math.inf, math.nan])
+def test_feasible_interval_refuses_a_hint_that_is_not_a_real_number(hint, hexagon_geometry,
+                                                                    resting_system):
+    with pytest.raises(ValidationError, match="must be a finite real number"):
+        feasible_interval(resting_system, hexagon_geometry, hint)
+
+
+@pytest.mark.parametrize("hint", [0.0, -1.0])
+def test_feasible_interval_refuses_a_hint_that_is_not_positive(hint, hexagon_geometry,
+                                                               resting_system):
+    with pytest.raises(ValidationError, match="must be positive"):
+        feasible_interval(resting_system, hexagon_geometry, hint)
+
+
 def test_sweep_contains_seed_pose(rng):
     geom = PlatformGeometry(base=random_circle_base(rng), mu=0.4)
     pose = random_feasible_pose(geom, rng)

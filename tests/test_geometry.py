@@ -46,6 +46,19 @@ def test_build_q_row_values():
     assert np.max(np.abs(row - expected)) <= 1e-15
 
 
+@pytest.mark.parametrize("base", [
+    np.zeros((6, 3)),                    # once read by its first two columns
+    np.zeros((5, 2)),
+    np.full((6, 2), np.nan),
+    np.where(np.eye(6, 2) > 0, np.inf, hexagon_base()),
+    [["0", "1"]] * 6,
+    [[0.0, 1.0]] * 5 + [[0.0]],
+])
+def test_conic_check_refuses_anything_but_six_finite_planar_points(base):
+    with pytest.raises(ValidationError):
+        conic_check(base)
+
+
 def test_hexagon_determinant_vanishes():
     report = conic_check(hexagon_base())
     assert abs(report.det_q) < 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (hexagon_base, random_circle_base, random_feasible_pose,
-                     random_generic_base, random_rotation)
+                     random_generic_base, random_rotation, random_unit_quaternion)
 from stewart66.errors import DegenerateLeg
 from stewart66.geometry import PlatformGeometry, build_q
 from stewart66.ik import (Pose, d_from_lengths, leg_lengths, leg_vectors,
@@ -34,6 +34,25 @@ def test_leg_vector_quarter_turn(hexagon_geometry):
     vecs = leg_vectors(hexagon_geometry, quarter, np.zeros(3))
     # 0.5 * (0, 1, 0) - (1, 0, 0)
     assert np.allclose(vecs[0], [-1.0, 0.5, 0.0])
+
+
+def test_stacked_leg_vectors_match_one_pose_at_a_time(rng):
+    # the audit's shapes: rotations (M, 1, 3, 3) against positions (M, 2, 3)
+    geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4,
+                            top_transform=random_rotation(rng))
+    quats = [random_unit_quaternion(rng) for _ in range(7)]
+    ra = np.array([to_matrix(q) @ geom.top_transform for q in quats])[:, None]
+    positions = rng.uniform(-1.0, 1.0, (7, 2, 3))
+    legs = leg_vectors(geom, ra, positions)
+    assert legs.shape == (7, 2, 6, 3)
+    lengths = np.linalg.norm(legs, axis=-1)
+    for m, q in enumerate(quats):
+        for b in range(2):
+            one = leg_vectors(geom, ra[m, 0], positions[m, b])
+            assert one.shape == (6, 3)
+            assert one.tobytes() == legs[m, b].tobytes()
+            pose = Pose(q, positions[m, b])
+            assert leg_lengths(geom, pose).tobytes() == lengths[m, b].tobytes()
 
 
 def test_lengths_identity_pose_at_height(hexagon_geometry):
