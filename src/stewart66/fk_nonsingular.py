@@ -23,7 +23,7 @@ from . import linalg
 from .errors import Infeasible, ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import EYE3, MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
-from .rotation import RENORM_TOL, Quaternion, canonicalize, from_matrices, to_matrices
+from .rotation import RENORM_TOL, Quaternion, canonicalize, to_matrices
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
@@ -94,7 +94,7 @@ class SolutionArrays:
     """
 
     rotations: RotationCandidates
-    orientations: np.ndarray  # (N, 4, 4) plate quaternions, canonical
+    orientations: np.ndarray  # (N, 4, 4) canonical plates q_RA (x) conj(q_A), q_A per geometry
     positions: np.ndarray     # (N, 4, 2, 3)
     signs: np.ndarray         # (N, 4, 2) +1 / -1 / 0
     residuals: np.ndarray     # (N, 4, 2) max |recomputed length - input length|
@@ -265,11 +265,10 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     w = np.asarray(w, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     rotations = rotation_candidates(w, geom.mu)
-    # candidates carry the combined rotation R*A; the plate's own R is
-    # needed only to hand out orientations
+    # candidates carry q_RA; plates are q_RA (x) conj(q_A), q_A fixed per geometry
+    q, plate = rotations.quaternions, geom._ra_to_plate
+    orientations = q if plate is None else canonicalize(q @ plate)
     ra = to_matrices(rotations.quaternions)
-    a = geom.top_transform
-    orientations = rotations.quaternions if (a == EYE3).all() else from_matrices(ra @ a.T)
     points, signs, hit = sphere_points(w, ra, geom.mu)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     residuals = np.full(hit.shape, np.nan)

@@ -12,8 +12,6 @@ cells and evaluates all their points as one batch per round.
 
 from __future__ import annotations
 
-import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -23,8 +21,8 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, NotParameterizable, ValidationError
 from .fk_nonsingular import SolutionArrays, _fill, solution_arrays, solutions_from_w
-from .geometry import (ConicReport, PlatformGeometry, build_q, conic_report,
-                       factor_for_rank)
+from .geometry import (ConicReport, PlatformGeometry, _check_finite_real, build_q,
+                       conic_report, factor_for_rank)
 from .ik import check_lengths, d_from_lengths
 
 # Below this |n_1| the family cannot be indexed by w1; arc length instead.
@@ -102,17 +100,6 @@ def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
     """Solution-line point at signed arc length from the particular solution:
     (6,) for a number, (N, 6) for N values."""
     return system.particular + np.multiply.outer(_finite(arc, "arc length"), system.null_dir)
-
-
-def _check_finite_real(value, name: str) -> None:
-    # a bool is refused: it is an int, and True would pass as 1.0
-    try:
-        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                  and math.isfinite(value))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _finite(values, name: str) -> np.ndarray:

@@ -8,6 +8,8 @@ matrix of the length system loses exactly one rank on a conic.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (DegenerateBase, DuplicateVertex, SingularBase,
                      ValidationError, WrongRank)
+from .rotation import from_matrix
 
 MIN_VERTEX_SEPARATION = 1e-9
 ORTHOGONALITY_TOL = 1e-9
@@ -41,10 +44,8 @@ class PlatformGeometry:
         if dist.min() <= MIN_VERTEX_SEPARATION:
             i, j = np.unravel_index(int(dist.argmin()), dist.shape)
             raise DuplicateVertex(f"base vertices {i} and {j} coincide")
-        if self.top_transform is None:
-            a = np.eye(3)
-        else:
-            a = np.array(self.top_transform, dtype=float)
+        a = self.top_transform
+        a = np.eye(3) if a is None else _numbers(a, "top transform")
         if a.shape != (3, 3) or not np.all(np.isfinite(a)):
             raise ValidationError("top transform must be a finite 3x3 matrix")
         if np.max(np.abs(a.T @ a - np.eye(3))) > ORTHOGONALITY_TOL:
@@ -52,12 +53,28 @@ class PlatformGeometry:
         if np.linalg.det(a) < 0.0:
             # a reflection cannot be reached by rotating the plate
             raise ValidationError("top transform must be a proper rotation (det +1)")
+        _check_finite_real(self.mu, "mu")
         mu = float(self.mu)
-        if not np.isfinite(mu) or not 0.0 < mu < 1.0:
+        if not 0.0 < mu < 1.0:
             raise ValidationError(f"mu must lie strictly between 0 and 1, got {mu}")
+        # candidates carry q(R A) = q(R) (x) q(A); a row of them times this
+        # matrix is q(R A) (x) conj(q(A)), the plate's q(R).  None when A = I.
+        plate = None
+        if not (a == np.eye(3)).all():
+            a0, a1, a2, a3 = from_matrix(a)
+            plate = np.array([[a0, -a1, -a2, -a3], [a1, a0, a3, -a2],
+                              [a2, -a3, a0, a1], [a3, a2, -a1, a0]])
+        # read-only, so that nothing derived from them here can go stale
+        base.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "top_transform", a)
+        object.__setattr__(self, "_ra_to_plate", plate)
+
+    def __reduce__(self):
+        # copies and unpickled geometries go through __post_init__ too, so
+        # their arrays are read-only as well
+        return PlatformGeometry, (self.base, self.mu, self.top_transform)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +87,33 @@ class ConicReport:
     conic: Optional[np.ndarray]  # unit (1, x, y, x^2, xy, y^2) coefficients, rank 5 only
 
 
+def _check_finite_real(value, name: str) -> None:
+    # a bool is refused: it is an int, and True would pass as 1.0
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """value as a new float array; ValidationError unless it is a regular
+    array of numbers (float() would read "0.5")."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # ragged
+        raise ValidationError(f"{name} is not a regular array: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} entries must be numbers, got dtype {a.dtype}")
+    return np.array(a, dtype=float)
+
+
 def _planar_base(base) -> np.ndarray:
     """base as a new float (6, 2) array; ValidationError unless it is six
-    finite planar points given as numbers (float() would read "0.5")."""
-    try:
-        b = np.asarray(base)
-    except ValueError as exc:
-        raise ValidationError(f"base must be 6 planar points: {exc}") from exc
-    if b.dtype.kind not in "iuf":
-        raise ValidationError(f"base coordinates must be numbers, got dtype {b.dtype}")
-    b = np.array(b, dtype=float)
+    finite planar points given as numbers."""
+    b = _numbers(base, "base")
     if b.shape != (6, 2):
         raise ValidationError(f"base must be 6 planar points, got shape {b.shape}")
     if not np.all(np.isfinite(b)):

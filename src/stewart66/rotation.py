@@ -82,25 +82,17 @@ def canonicalize(q) -> np.ndarray:
     return q
 
 
-def from_matrices(m) -> np.ndarray:
-    """Canonical quaternions (..., 4) of rotation matrices (..., 3, 3); inverse
-    of to_matrices."""
-    m = np.asarray(m, dtype=float)
-    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+def from_matrix(m) -> np.ndarray:
+    """Canonical quaternion (4,) of one rotation matrix; inverse of to_matrix."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
     t = m00 + m11 + m22
     # Shepperd branching: divide by the largest of the four squared terms.
-    branch = np.argmax(np.stack([t, m00, m11, m22], axis=-1), axis=-1)
-    q = np.empty(m.shape[:-2] + (4,))
-    for i, diagonal, off in (
-            (0, 1.0 + t, (m21 - m12, m02 - m20, m10 - m01)),
-            (1, 1.0 + m00 - m11 - m22, (m21 - m12, m01 + m10, m02 + m20)),
-            (2, 1.0 + m11 - m00 - m22, (m02 - m20, m01 + m10, m12 + m21)),
-            (3, 1.0 + m22 - m00 - m11, (m10 - m01, m02 + m20, m12 + m21))):
-        sel = branch == i
-        s = 2.0 * np.sqrt(diagonal[sel])
-        parts = [x[sel] / s for x in off]
-        parts.insert(i, s / 4)
-        q[sel] = np.stack(parts, axis=-1)
+    i = max(range(4), key=[t, m00, m11, m22].__getitem__)
+    diagonal, off = [(1.0 + t, (m21 - m12, m02 - m20, m10 - m01)),
+                     (1.0 + m00 - m11 - m22, (m21 - m12, m01 + m10, m02 + m20)),
+                     (1.0 + m11 - m00 - m22, (m02 - m20, m01 + m10, m12 + m21)),
+                     (1.0 + m22 - m00 - m11, (m10 - m01, m02 + m20, m12 + m21))][i]
+    s = 2.0 * math.sqrt(diagonal)
+    q = [x / s for x in off]
+    q.insert(i, s / 4)
     return canonicalize(q)

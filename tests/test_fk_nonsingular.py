@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
                      random_circle_base, random_feasible_pose, random_generic_base,
                      random_rotation)
@@ -249,6 +252,62 @@ def test_fk_round_trip_with_top_rotation(rng):
         assert min(pose_gap(s.pose, pose) for s in sols) <= 1e-8
 
 
+def top_rotation_batch(geom, rng, rows=40):
+    """solution_arrays on the w vectors of random poses of geom, audited
+    against the first pose's lengths: the orientations do not depend on the
+    audit."""
+    poses = [random_feasible_pose(geom, rng) for _ in range(rows)]
+    w = np.array([w_from_pose(geom, pose) for pose in poses])
+    return solution_arrays(geom, w, leg_lengths(geom, poses[0]))
+
+
+@pytest.mark.parametrize("top", [None, np.eye(3), to_matrix(Quaternion(1.0, 0.0, 0.0, 0.0))],
+                         ids=["omitted", "eye", "identity_quaternion"])
+def test_identity_top_transform_hands_out_the_candidates(top, rng):
+    geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4, top_transform=top)
+    batch = top_rotation_batch(geom, rng)
+    assert batch.orientations.tobytes() == batch.rotations.quaternions.tobytes()
+
+
+# q_A with its largest component first, second, third and fourth: one per
+# Shepperd branch of the matrix-to-quaternion step that reads q_A off A
+SHEPPERD_TOPS = [(0.9, 0.3, -0.2, 0.1), (0.2, -0.9, 0.3, -0.1), (0.1, -0.3, 0.9, 0.2),
+                 (-0.3, 0.1, -0.2, 0.9)]
+
+
+@pytest.mark.parametrize("top", [*SHEPPERD_TOPS, "random"],
+                         ids=["branch_0", "branch_1", "branch_2", "branch_3", "random"])
+def test_plate_orientations_match_the_matrix_round_trip(top, rng):
+    # plates are q_RA (x) conj(q_A), q_A read once per geometry; the oracle
+    # reads each plate back through R = (R A) A^T instead
+    tops = ([random_rotation(rng) for _ in range(20)] if top == "random"
+            else [to_matrix(Quaternion(*np.divide(top, np.linalg.norm(top))))])
+    if top != "random":
+        assert int(np.argmax([np.trace(tops[0]), *np.diag(tops[0])])) == SHEPPERD_TOPS.index(top)
+    for a in tops:
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=a)
+        batch = top_rotation_batch(geom, rng)
+        kept = batch.rotations.kept
+        assert kept.sum() >= 40
+        for q_ra, plate in zip(batch.rotations.quaternions[kept], batch.orientations[kept]):
+            expected = oracle.from_matrix(to_matrix(Quaternion(*q_ra)) @ a.T).as_array()
+            assert min(np.abs(plate - expected).max(), np.abs(plate + expected).max()) <= 1e-15
+
+
+def test_geometry_arrays_are_read_only(rng):
+    # the plate product is read off A once, at construction; it cannot go
+    # stale because neither A nor the base can be written afterwards
+    geom = PlatformGeometry(base=random_generic_base(rng), mu=0.5,
+                            top_transform=random_rotation(rng))
+    for g in (geom, copy.deepcopy(geom), pickle.loads(pickle.dumps(geom))):
+        with pytest.raises(ValueError):
+            g.base[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            g.top_transform[:] = 2.0 * np.eye(3)
+        assert np.array_equal(g._ra_to_plate, geom._ra_to_plate)
+
+
 # the quarter turn about (1, 1, 0)/sqrt(2) and a fixed generic orientation
 NEAR_MU_ORIENTATIONS = {
     "identity": (1.0, 0.0, 0.0, 0.0),
@@ -282,8 +341,8 @@ def test_position_stage_stays_finite_next_to_mu_one(orientation):
 
 def test_fk_poses_pass_the_audit_with_a_skewed_top_transform(rng):
     # A may miss orthogonality by ORTHOGONALITY_TOL; the candidates carry an
-    # exact rotation R*A, the returned plate R is read back through A^T, and
-    # leg_lengths multiplies by A again
+    # exact rotation R*A, the returned plate is q_RA (x) conj(q_A) with q_A
+    # read off A once per geometry, and leg_lengths multiplies by A again
     for _ in range(50):
         s = rng.uniform(-1.0, 1.0, (3, 3))
         s = (s + s.T) / 2.0

@@ -129,6 +129,23 @@ def test_geometry_validates_mu():
             PlatformGeometry(base=hexagon_base(), mu=bad)
 
 
+@pytest.mark.parametrize("mu, top", [
+    ("0.5", None),                      # once read by float()
+    (None, None),
+    ([0.5], None),
+    ("abc", None),
+    (True, None),
+    (0.5, np.eye(3).astype(str)),       # once read by float()
+    (0.5, np.eye(3, dtype=bool)),       # once read as the identity
+    (0.5, [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+    (0.5, "eye"),
+], ids=["mu_numeric_string", "mu_none", "mu_list", "mu_string", "mu_bool", "top_strings",
+        "top_bools", "top_ragged", "top_string"])
+def test_geometry_refuses_non_numeric_mu_or_top_transform(mu, top):
+    with pytest.raises(ValidationError):
+        PlatformGeometry(base=hexagon_base(), mu=mu, top_transform=top)
+
+
 def test_geometry_accepts_rotation_top_transform(rng):
     a = random_rotation(rng)
     geom = PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)

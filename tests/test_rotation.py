@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stewart66.errors import NotUnit
-from stewart66.rotation import (Quaternion, canonicalize, from_matrices, to_matrices,
-                                to_matrix)
+from stewart66.rotation import Quaternion, canonicalize, from_matrix, to_matrices, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -93,15 +92,25 @@ def test_array_forms_match_one_quaternion_at_a_time():
     assert mats.shape == (6, 3, 3)
     for q, m in zip(qs, mats):
         assert np.array_equal(m, to_matrix(Quaternion(*q)))
-    back = from_matrices(mats.reshape(2, 3, 3, 3)).reshape(6, 4)
-    assert np.max(np.abs(back - canonicalize(qs))) <= 1e-15
-    assert np.array_equal(back[4], from_matrices(mats[4]))
+    for q, m in zip(canonicalize(qs), mats):
+        assert np.max(np.abs(from_matrix(m) - q)) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [(1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 1.0, 0), (0, 0, 0, 1.0)],
+                         ids=["identity", "half_turn_x", "half_turn_y", "half_turn_z"])
+def test_from_matrix_round_trips_each_shepperd_branch(q):
+    # the largest of (trace, m00, m11, m22) picks the branch: one each
+    m = to_matrix(Quaternion(*q))
+    assert int(np.argmax([np.trace(m), *np.diag(m)])) == np.flatnonzero(q)[0]
+    back = from_matrix(m)
+    assert back.shape == (4,)
+    assert back.tolist() == list(q)
 
 
 @given(unit_quaternions)
 def test_from_matrix_round_trip(q):
     qc = Quaternion(*canonicalize(q.as_array()))
-    back = Quaternion(*from_matrices(to_matrix(qc)))
+    back = Quaternion(*from_matrix(to_matrix(qc)))
     # q0 within noise of zero can legitimately flip the canonical sign
     gap = min(np.max(np.abs(back.as_array() - qc.as_array())),
               np.max(np.abs(back.as_array() + qc.as_array())))
