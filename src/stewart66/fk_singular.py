@@ -19,10 +19,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, NotParameterizable, ValidationError
+from .errors import Infeasible, NotParameterizable, ValidationError, _float_array, _real
 from .fk_nonsingular import SolutionArrays, _fill, solution_arrays, solutions_from_w
-from .geometry import (ConicReport, PlatformGeometry, _check_finite_real, build_q,
-                       conic_report, factor_for_rank)
+from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
 
 # Below this |n_1| the family cannot be indexed by w1; arc length instead.
@@ -76,19 +75,20 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
                                 linalg.consistency_tol(lengths)),
         null_dir=conic.conic,
         parameterizable_by_w1=bool(abs(conic.conic[0]) > W1_COMPONENT_TOL),
-        lengths=lengths.copy(),
+        lengths=lengths,
         conic=conic,
     )
 
 
 def w_at(system: SingularSystem, w1) -> np.ndarray:
     """The unique solution-line point whose first coordinate is w1: (6,) for
-    a number, (N, 6) for N values."""
+    a number, (N, 6) for N values.  ValidationError unless w1 holds
+    finite, non-negative numbers."""
     if not system.parameterizable_by_w1:
         raise NotParameterizable(
             "null direction has no w1 component; index the family by arc "
             "length (w_at_arc)")
-    w1 = _finite(w1, "w1")
+    w1 = _float_array(w1, "w1")
     if np.any(w1 < 0.0):
         raise ValidationError(
             f"w1 is a squared position norm, must be >= 0, got {np.min(w1)}")
@@ -99,24 +99,15 @@ def w_at(system: SingularSystem, w1) -> np.ndarray:
 def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
     """Solution-line point at signed arc length from the particular solution:
     (6,) for a number, (N, 6) for N values."""
-    return system.particular + np.multiply.outer(_finite(arc, "arc length"), system.null_dir)
-
-
-def _finite(values, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{name} must be finite")
-    return values
+    return system.particular + np.multiply.outer(_float_array(arc, "arc length"), system.null_dir)
 
 
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     """Poses at one point of the family, audited against the leg lengths;
     Infeasible when there are none, ValidationError unless w is six finite
-    numbers and the lengths six positive finite numbers."""
-    w = _finite(w, "w")
-    if w.shape != (6,):
-        raise ValidationError(f"w must be a 6-vector, got shape {w.shape}")
-    solutions = solutions_from_w(geom, w, check_lengths(lengths))
+    numbers and the lengths six positive finite numbers (strings and bools
+    are not numbers)."""
+    solutions = solutions_from_w(geom, _float_array(w, "w", (6,)), check_lengths(lengths))
     if not solutions:
         raise Infeasible("no pose branch reproduces the leg lengths at this parameter")
     return solutions
@@ -180,10 +171,10 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     Infeasible samples are recorded, not fatal.  Grid values are w1, or
     arc length when the system is not w1-parameterizable.
     """
-    _check_finite_real(w1_min, "w1_min")
-    _check_finite_real(w1_max, "w1_max")
+    _real(w1_min, "w1_min")  # checked only: the grid takes the bounds as given
+    _real(w1_max, "w1_max")
     try:
-        count = operator.index(samples)
+        count = operator.index(None if isinstance(samples, bool) else samples)  # True is no count
     except TypeError:
         raise ValidationError(f"sample count must be an integer, got {samples!r}") from None
     if count < 2:
@@ -243,7 +234,7 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     """
     if not system.parameterizable_by_w1:
         raise NotParameterizable("family is not indexed by w1")
-    _check_finite_real(w1_hint_max, "w1_hint_max")
+    _real(w1_hint_max, "w1_hint_max")
     if not w1_hint_max > 0.0:
         raise ValidationError(f"w1_hint_max must be positive, got {w1_hint_max!r}")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)

@@ -8,8 +8,6 @@ matrix of the length system loses exactly one rank on a conic.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (DegenerateBase, DuplicateVertex, SingularBase,
-                     ValidationError, WrongRank)
+                     ValidationError, WrongRank, _float_array, _real)
 from .rotation import from_matrix
 
 MIN_VERTEX_SEPARATION = 1e-9
@@ -37,7 +35,7 @@ class PlatformGeometry:
     top_transform: Optional[np.ndarray] = None  # (3, 3); identity when omitted
 
     def __post_init__(self):
-        base = _planar_base(self.base)
+        base = _float_array(self.base, "base", (6, 2))
         diff = base[:, None, :] - base[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
         dist[np.diag_indices(6)] = np.inf
@@ -45,16 +43,13 @@ class PlatformGeometry:
             i, j = np.unravel_index(int(dist.argmin()), dist.shape)
             raise DuplicateVertex(f"base vertices {i} and {j} coincide")
         a = self.top_transform
-        a = np.eye(3) if a is None else _numbers(a, "top transform")
-        if a.shape != (3, 3) or not np.all(np.isfinite(a)):
-            raise ValidationError("top transform must be a finite 3x3 matrix")
+        a = np.eye(3) if a is None else _float_array(a, "top transform", (3, 3))
         if np.max(np.abs(a.T @ a - np.eye(3))) > ORTHOGONALITY_TOL:
             raise ValidationError("top transform is not orthogonal")
         if np.linalg.det(a) < 0.0:
             # a reflection cannot be reached by rotating the plate
             raise ValidationError("top transform must be a proper rotation (det +1)")
-        _check_finite_real(self.mu, "mu")
-        mu = float(self.mu)
+        mu = _real(self.mu, "mu")
         if not 0.0 < mu < 1.0:
             raise ValidationError(f"mu must lie strictly between 0 and 1, got {mu}")
         # candidates carry q(R A) = q(R) (x) q(A); a row of them times this
@@ -87,47 +82,9 @@ class ConicReport:
     conic: Optional[np.ndarray]  # unit (1, x, y, x^2, xy, y^2) coefficients, rank 5 only
 
 
-def _check_finite_real(value, name: str) -> None:
-    # a bool is refused: it is an int, and True would pass as 1.0
-    try:
-        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                  and math.isfinite(value))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
-
-
-def _numbers(value, name: str) -> np.ndarray:
-    """value as a new float array; ValidationError unless it is a regular
-    array of numbers (float() would read "0.5")."""
-    try:
-        a = np.asarray(value)
-    except ValueError as exc:  # ragged
-        raise ValidationError(f"{name} is not a regular array: {exc}") from exc
-    if a.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} entries must be numbers, got dtype {a.dtype}")
-    return np.array(a, dtype=float)
-
-
-def _planar_base(base) -> np.ndarray:
-    """base as a new float (6, 2) array; ValidationError unless it is six
-    finite planar points given as numbers."""
-    b = _numbers(base, "base")
-    if b.shape != (6, 2):
-        raise ValidationError(f"base must be 6 planar points, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError("base coordinates must be finite")
-    return b
-
-
 def make_circle_base(angles) -> np.ndarray:
     """Unit-circle vertices (cos t, sin t); angles must be distinct mod 2*pi."""
-    th = np.asarray(angles, dtype=float)
-    if th.shape != (6,):
-        raise ValidationError(f"need exactly 6 angles, got shape {th.shape}")
-    if not np.all(np.isfinite(th)):
-        raise ValidationError("angles must be finite")
+    th = _float_array(angles, "angles", (6,))
     for i in range(6):
         for j in range(i + 1, 6):
             d = abs(th[i] - th[j]) % (2.0 * np.pi)
@@ -137,16 +94,15 @@ def make_circle_base(angles) -> np.ndarray:
 
 
 def build_q(base) -> np.ndarray:
-    """Row i is (1, x_i, y_i, x_i^2, x_i*y_i, y_i^2)."""
-    b = np.asarray(base, dtype=float)
-    x, y = b[:, 0], b[:, 1]
+    """Row i is (1, x_i, y_i, x_i^2, x_i*y_i, y_i^2), for a checked (6, 2) float base."""
+    x, y = base[:, 0], base[:, 1]
     return np.column_stack([np.ones(6), x, y, x * x, x * y, y * y])
 
 
 def conic_check(base) -> ConicReport:
     """Rank-test the conic matrix; six points on any conic drop it to five.
     ValidationError unless base is six finite planar points."""
-    q = build_q(_planar_base(base))
+    q = build_q(_float_array(base, "base", (6, 2)))
     return conic_report(q, linalg.lu_factor(q))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLeg, ValidationError
+from .errors import DegenerateLeg, ValidationError, _float_array
 from .geometry import PlatformGeometry
 from .rotation import Quaternion, to_matrix
 
@@ -22,18 +22,16 @@ EYE3 = np.eye(3)
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Pose:
-    """Rigid placement of the top plate: orientation quaternion plus center."""
+    """Rigid placement of the top plate: orientation quaternion plus center.
+    ValidationError unless they are a Quaternion and three finite numbers."""
 
     orientation: Quaternion
     position: np.ndarray  # (3,)
 
     def __post_init__(self):
-        p = np.array(self.position, dtype=float)
-        if p.shape != (3,):
-            raise ValidationError(f"position must be a 3-vector, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValidationError("position must be finite")
-        object.__setattr__(self, "position", p)
+        if not isinstance(self.orientation, Quaternion):
+            raise ValidationError(f"orientation must be a Quaternion, got {self.orientation!r:.40}")
+        object.__setattr__(self, "position", _float_array(self.position, "position", (3,)))
 
 
 def leg_vectors(geom: PlatformGeometry, ra, position) -> np.ndarray:
@@ -76,17 +74,16 @@ def w_from_pose(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
 
 
 def d_from_lengths(geom: PlatformGeometry, lengths) -> np.ndarray:
-    """Right-hand side of the length system: L_i^2 - (1 + mu^2)*|B_i|^2."""
-    lng = np.asarray(lengths, dtype=float)
+    """Right-hand side of the length system: L_i^2 - (1 + mu^2)*|B_i|^2, for
+    checked float lengths (check_lengths)."""
     r2 = (geom.base ** 2).sum(axis=1)
-    return lng * lng - (1.0 + geom.mu ** 2) * r2
+    return lengths * lengths - (1.0 + geom.mu ** 2) * r2
 
 
 def check_lengths(lengths) -> np.ndarray:
-    """Validate a six-vector of strictly positive, finite leg lengths."""
-    lng = np.asarray(lengths, dtype=float)
-    if lng.shape != (6,):
-        raise ValidationError(f"need exactly 6 leg lengths, got shape {lng.shape}")
-    if not np.all(np.isfinite(lng)) or np.any(lng <= 0.0):
-        raise ValidationError("leg lengths must be strictly positive and finite")
+    """lengths as a new float (6,) array; ValidationError unless they are six
+    strictly positive, finite numbers."""
+    lng = _float_array(lengths, "leg lengths", (6,))
+    if (lng <= 0.0).any():
+        raise ValidationError("leg lengths must be strictly positive")
     return lng

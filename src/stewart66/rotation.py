@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnit
+from .errors import NotUnit, _real
 
 # Construction normalizes within this distance of unit norm, rejects beyond.
 NORM_TOL = 1e-6
@@ -25,6 +25,9 @@ class Quaternion:
     q3: float
 
     def __post_init__(self):
+        # a NaN or infinite component is left to the norm test: NotUnit
+        for name in ("q0", "q1", "q2", "q3"):
+            _real(getattr(self, name), name, finite=False)
         norm = math.sqrt(self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
@@ -95,4 +98,13 @@ def from_matrix(m) -> np.ndarray:
     s = 2.0 * math.sqrt(diagonal)
     q = [x / s for x in off]
     q.insert(i, s / 4)
-    return canonicalize(q)
+    # canonicalize's renormalization and sign fold in plain floats, so the
+    # result is bit-equal: add.reduce adds four squares left to right, and
+    # q[i] > 0, so a first nonzero component exists
+    q0, q1, q2, q3 = q
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if abs(norm - 1.0) > RENORM_TOL:
+        q = [x / norm for x in q]
+    if next(filter(None, q)) < 0.0:
+        q = [0.0 - x for x in q]  # 0.0 - x keeps zero components at +0.0
+    return np.array(q)

@@ -31,6 +31,12 @@ def canonical(q):
 
 
 def from_matrix(m):
+    return canonical(Quaternion(*shepperd(m)))
+
+
+def shepperd(m):
+    """The quaternion components (4,) Shepperd's method reads off m, before
+    any renormalization or sign fold."""
     t = m[0, 0] + m[1, 1] + m[2, 2]
     i = int(np.argmax([t, m[0, 0], m[1, 1], m[2, 2]]))
     if i == 0:
@@ -45,7 +51,7 @@ def from_matrix(m):
     else:
         s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
         q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, s / 4)
-    return canonical(Quaternion(*q))
+    return q
 
 
 def clamped_sqrt(value, scale):

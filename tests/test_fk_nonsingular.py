@@ -387,6 +387,11 @@ BAD_LENGTHS = {
     "inf": [1.0, 1.0, 1.0, math.inf, 1.0, 1.0],
     "zero": [1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
     "negative": [1.0, -1.0, 1.0, 1.0, 1.0, 1.0],
+    "string": ["1.0"] * 6,
+    "bool": True,
+    "one_bool": [1.0, 1.0, True, 1.0, 1.0, 1.0],  # np.asarray reads it as float
+    "ragged": [1.0, 1.0, [1.0, 1.0], 1.0, 1.0, 1.0],
+    "none": None,
 }
 
 
@@ -408,6 +413,11 @@ BAD_W = {
     "matrix": np.zeros((1, 6)),
     "nan": [0.0, 0.0, math.nan, 0.0, 0.0, 0.0],
     "inf": [math.inf, 0.0, 0.0, 0.0, 0.0, 0.0],
+    "string": ["0"] * 6,
+    "bool": False,
+    "one_bool": [0.0, 0.0, 0.0, False, 0.0, 0.0],
+    "ragged": [0.0, [0.0, 0.0], 0.0, 0.0, 0.0, 0.0],
+    "none": None,
 }
 
 

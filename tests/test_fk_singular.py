@@ -184,7 +184,8 @@ def test_sweep_validates_grid(hexagon_geometry, resting_system):
 
 
 @pytest.mark.parametrize("bounds", [(None, 1.0), (0.0, None), ("0", 1.0), (0.0, "1"),
-                                    (False, 1.0), (0.0, True), (0.0, math.nan), (0.0, 10 ** 400)])
+                                    (False, 1.0), (0.0, True), (0.0, math.nan), (0.0, 10 ** 400),
+                                    ([0.0], 1.0), (0.0, [1.0, True])])
 def test_sweep_refuses_bounds_that_are_not_real_numbers(bounds, hexagon_geometry,
                                                         resting_system):
     # float() would read "1" and True, and None would raise TypeError
@@ -192,7 +193,7 @@ def test_sweep_refuses_bounds_that_are_not_real_numbers(bounds, hexagon_geometry
         sweep(resting_system, hexagon_geometry, *bounds, 10)
 
 
-@pytest.mark.parametrize("hint", [None, "5", True, math.inf, math.nan])
+@pytest.mark.parametrize("hint", [None, "5", True, math.inf, math.nan, [5.0], [5.0, [5.0]]])
 def test_feasible_interval_refuses_a_hint_that_is_not_a_real_number(hint, hexagon_geometry,
                                                                     resting_system):
     with pytest.raises(ValidationError, match="must be a finite real number"):

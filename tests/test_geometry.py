@@ -53,6 +53,11 @@ def test_build_q_row_values():
     np.where(np.eye(6, 2) > 0, np.inf, hexagon_base()),
     [["0", "1"]] * 6,
     [[0.0, 1.0]] * 5 + [[0.0]],
+    [[True, 0.0]] + hexagon_base()[1:].tolist(),  # np.asarray reads it as float
+    np.ones((6, 2), dtype=bool),
+    True,
+    "base",
+    None,
 ])
 def test_conic_check_refuses_anything_but_six_finite_planar_points(base):
     with pytest.raises(ValidationError):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scalar_oracle as oracle
+from helpers import hexagon_base, random_unit_quaternion
 from stewart66.errors import NotUnit
-from stewart66.rotation import Quaternion, canonicalize, from_matrix, to_matrices, to_matrix
+from stewart66.geometry import ORTHOGONALITY_TOL, PlatformGeometry
+from stewart66.rotation import (RENORM_TOL, Quaternion, canonicalize, from_matrix, to_matrices,
+                                to_matrix)
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -116,3 +120,36 @@ def test_from_matrix_round_trip(q):
               np.max(np.abs(back.as_array() + qc.as_array())))
     assert gap <= 1e-12
     assert np.max(np.abs(to_matrix(back) - to_matrix(qc))) <= 1e-12
+
+
+def top_rotations():
+    """One A per Shepperd branch, three of them with a negative q0 so that
+    the sign fold acts, one folded with an exactly zero component, random A,
+    and A 1e-10 off orthogonal, whose Shepperd quaternions are renormalized."""
+    rng = np.random.default_rng(1212)
+    mats = [to_matrix(Quaternion(*(q / np.linalg.norm(q)))) for q in np.array(
+        [[0.9, 0.3, -0.2, 0.25], [-0.2, 0.9, 0.3, 0.1], [-0.1, 0.3, 0.9, -0.2],
+         [-0.3, 0.1, -0.2, 0.9], [-0.2, 0.9, 0.3, 0.0]])]
+    mats += [to_matrix(random_unit_quaternion(rng)) for _ in range(200)]
+    off = [to_matrix(random_unit_quaternion(rng)) * rng.uniform(1.0 + 1e-10, 1.0 + 3e-10)
+           + 1e-11 * rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(100)]
+    return mats + off
+
+
+def test_from_matrix_folds_bit_equal_to_canonicalize():
+    mats = top_rotations()
+    branches = {int(np.argmax([np.trace(m), *np.diag(m)])) for m in mats[:4]}
+    assert branches == {0, 1, 2, 3}
+    raw = [oracle.shepperd(m) for m in mats]
+    assert sum(q[0] < 0.0 for q in raw[:4]) == 3
+    assert raw[4][0] < 0.0 and raw[4][3] == 0.0
+    assert all(abs(math.sqrt(sum(x * x for x in q)) - 1.0) > RENORM_TOL for q in raw[-100:])
+    for m, q in zip(mats, raw):
+        assert from_matrix(m).tobytes() == canonicalize(q).tobytes()
+
+
+def test_plate_product_reads_the_canonical_top_quaternion():
+    for a in top_rotations():
+        assert np.max(np.abs(a.T @ a - np.eye(3))) <= ORTHOGONALITY_TOL
+        plate = PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)._ra_to_plate
+        assert plate[:, 0].tobytes() == canonicalize(oracle.shepperd(a)).tobytes()
