@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
-from .ik import EYE3, MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
+from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
 from .rotation import RENORM_TOL, Quaternion, canonicalize, to_matrices
 
 # Squared quaternion components this far below zero are rounding noise.
@@ -36,16 +36,19 @@ TANGENT_EPS = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
 
-# Candidate k multiplies (q0, q1, q2, q3) by SIGNS[k]: (q1, q2) flip jointly,
-# q3 on its own.
-SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
-                  [1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, -1.0]])
+# Candidate k multiplies (q0, q1, q2, q3) by SIGNS[:, k]: (q1, q2) flip
+# jointly, q3 on its own.
+SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                  [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
 # Names of the squared components in the order they are checked.
 SQUARE_NAMES = ((1, "q1^2"), (2, "q2^2"), (3, "q3^2"), (0, "q0^2"))
 EPS = np.finfo(float).eps
-# Slot pairs LATER[p] > EARLIER[p]; DROPS[p] is one-hot on the slot a near pair drops
+# Sphere branch b is r0 + BRANCHES[b] * step: the + point, then the - point;
+# shaped to stand before the (slot, row) axes.
+BRANCHES = np.array([1.0, -1.0])[:, None, None]
+# Slot pairs LATER[p] > EARLIER[p]; DROPS[k, p] marks the slot k a near pair drops
 LATER, EARLIER = np.nonzero(np.tri(4, k=-1, dtype=bool))
-DROPS = LATER[:, None] == np.arange(4)
+DROPS = LATER == np.arange(4)[:, None]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -60,7 +63,7 @@ class FkSolution:
 class RotationCandidates:
     """Rotation candidates for each row of W[N, 6], from (w4, w5, w6).
 
-    Slot k of a row holds sign pattern SIGNS[k], canonicalized; kept marks
+    Slot k of a row holds sign pattern SIGNS[:, k], canonicalized; kept marks
     the slots that are distinct candidates of a row that fits a unit
     quaternion, so a row's candidate list is its kept slots in order.
     """
@@ -152,18 +155,10 @@ def _fill(cls, *columns) -> list:
     return objects
 
 
-def _dot(a, b) -> np.ndarray:
-    # row-wise a . b through matmul: the BLAS dot that a @ b uses on one row
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _cross(a, b) -> np.ndarray:
-    # np.cross's arithmetic, one component at a time, without its set-up
-    out = np.empty(a.shape)
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(a[..., j], b[..., k], out=out[..., i])
-        out[..., i] -= a[..., k] * b[..., j]
-    return out
+    # a x b, components first: each component is one block of the batch
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def rotation_candidates(w, mu: float) -> RotationCandidates:
@@ -204,90 +199,78 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     # rows no rotation fits carry a half turn about z, so the stages after
     # stay finite: its position planes meet in a line for every mu
     base = np.where(fits, np.array([q0, q1, q2, q3]), [[0.0], [0.0], [0.0], [1.0]])
-    quaternions = base.T[:, None, :] * SIGNS
+    quaternions = base[:, None, :] * SIGNS  # (component, slot, row)
     quaternions += 0.0
     quaternions = canonicalize(quaternions)
-    # np.take, not fancy indexing: it gathers the pairs twice as fast
-    d = np.take(quaternions, LATER, axis=1) - np.take(quaternions, EARLIER, axis=1)
-    near = ~(np.sqrt(_dot(d, d)) > DEDUP_TOL)
-    kept = fits[:, None] & ~(near @ DROPS)
-    return RotationCandidates(quaternions, kept, fits, squares.T, norm2, alpha, beta, gamma)
+    # np.take, not fancy indexing: it gathers the pairs faster
+    d = quaternions.take(LATER, axis=1) - quaternions.take(EARLIER, axis=1)
+    near = ~(np.sqrt(np.add.reduce(d * d, axis=0)) > DEDUP_TOL)
+    kept = fits & ~(DROPS @ near)
+    return RotationCandidates(quaternions.T, kept.T, fits, squares.T, norm2, alpha, beta, gamma)
 
 
 def sphere_points(w, ra, mu: float):
     """Sphere-line intersections for rotation candidates.
 
-    w is W[N, 6] and ra the combined rotations R @ A (N, K, 3, 3).  The
-    planes u.P = w2 and v.P = w3 meet in the line r0 + t*n, n = u x v, whose
-    point nearest the origin is r0 = ((w2*v - w3*u) x n) / |n|^2; the sphere
-    |P|^2 = w1 picks out up to two parameters t.  u and v are columns of
-    2 * (mu * R @ A - I), which is invertible for mu < 1, so n never
-    vanishes.  Returns points (N, K, 2, 3), signs (N, K, 2) and hit
-    (N, K, 2): branch 0 is the + point, or the tangency point with sign 0,
-    branch 1 the - point.
+    w is W[N, 6] and ra the combined rotations R @ A (3, 3, K, N),
+    components first and rows last.  The planes u.P = w2 and v.P = w3 meet
+    in the line r0 + t*n, n = u x v, whose point nearest the origin is
+    r0 = ((w2*v - w3*u) x n) / |n|^2; the sphere |P|^2 = w1 picks out up to
+    two parameters t.  u and v are columns of 2 * (mu * R @ A - I), which
+    is invertible for mu < 1, so n never vanishes.  Returns points
+    (3, 2, K, N), signs (2, K, N) and hit (2, K, N): branch 0 is the +
+    point, or the tangency point with sign 0, branch 1 the - point.
     """
-    w = np.asarray(w, dtype=float)
+    w1, w2, w3 = np.asarray(w, dtype=float).T[:3]
     # columns 0 and 1 of 2 * (mu * ra - I)
-    u = 2.0 * (mu * ra[..., :, 0] - EYE3[0])
-    v = 2.0 * (mu * ra[..., :, 1] - EYE3[1])
+    u, v = 2.0 * (mu * ra[:, 0]), 2.0 * (mu * ra[:, 1])
+    u[0] -= 2.0
+    v[1] -= 2.0
     n = _cross(u, v)
-    nn = _dot(n, n)
-    w1, w2, w3 = w[:, 0, None], w[:, 1, None], w[:, 2, None]
-    # in place from here on: these (N, K, 3) arrays dominate the kernel's memory
-    v *= w2[..., None]
-    u *= w3[..., None]
-    v -= u
-    r0 = _cross(v, n)
-    del u, v
-    r0 /= nn[..., None]
-    chord2 = w1 - _dot(r0, r0)
+    nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+    r0 = _cross(w2 * v - w3 * u, n) / nn
+    chord2 = w1 - (r0[0] * r0[0] + r0[1] * r0[1] + r0[2] * r0[2])
     tangent = chord2 <= TANGENT_EPS
-    step = n
-    step *= (np.sqrt(np.where(tangent, 0.0, chord2)) / np.sqrt(nn))[..., None]
-    points = np.empty(tangent.shape + (2, 3))
-    np.add(r0, step, out=points[..., 0, :])
-    np.subtract(r0, step, out=points[..., 1, :])
-    signs = np.empty(tangent.shape + (2,), dtype=np.int8)
-    signs[..., 0] = ~tangent
-    signs[..., 1] = -1
-    hit = np.empty(tangent.shape + (2,), dtype=bool)
-    hit[..., 0] = chord2 >= -TANGENT_EPS
-    hit[..., 1] = hit[..., 0] & ~tangent
-    return points, signs, hit
+    step = n * (np.sqrt(np.where(tangent, 0.0, chord2)) / np.sqrt(nn))
+    points = r0[:, None] + step[:, None] * BRANCHES
+    signs = np.empty((2,) + tangent.shape, dtype=np.int8)
+    signs[0], signs[1] = ~tangent, -1
+    return points, signs, np.array([chord2 >= -TANGENT_EPS, chord2 > TANGENT_EPS])
 
 
 def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     """Candidates, sphere points and the leg-length audit for W[N, 6].
 
     A point is accepted when no leg collapses and every leg reproduces its
-    input length within RESIDUAL_TOL * (1 + max length).
+    input length within RESIDUAL_TOL * (1 + max length).  The stages index
+    their arrays [component, branch, slot, row], the reverse of the
+    results', so every result field is the transpose of a stage's array.
     """
     w = np.asarray(w, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
     rotations = rotation_candidates(w, geom.mu)
+    q, plate = rotations.quaternions.T, geom._ra_to_plate
     # candidates carry q_RA; plates are q_RA (x) conj(q_A), q_A fixed per geometry
-    q, plate = rotations.quaternions, geom._ra_to_plate
-    orientations = q if plate is None else canonicalize(q @ plate)
-    ra = to_matrices(rotations.quaternions)
+    orientations = q
+    if plate is not None:
+        orientations = canonicalize((plate.T @ q.reshape(4, -1)).reshape(q.shape))
+    ra = to_matrices(q)
     points, signs, hit = sphere_points(w, ra, geom.mu)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     residuals = np.full(hit.shape, np.nan)
     accepted = np.zeros(hit.shape, dtype=bool)
-    # every kept (row, slot) with a sphere point at once; legs are (M, 2, 6, 3)
-    rows, slots = np.nonzero(rotations.kept & hit[..., 0])
-    legs = leg_vectors(geom, ra[rows, slots, None], points[rows, slots])
-    # np.linalg.norm(legs, axis=-1), one component at a time: add.reduce over
-    # the components, which lie 6 apart in legs, costs more than the
-    # arithmetic.  The sum runs left to right, as add.reduce runs it.
-    legs *= legs
-    audited = legs[..., 0] + legs[..., 1]
-    audited += legs[..., 2]
-    np.sqrt(audited, out=audited)
-    residual = np.abs(audited - lengths).max(axis=-1)
-    residuals[rows, slots] = residual
-    accepted[rows, slots] = (hit[rows, slots] & (audited >= MIN_LEG_LENGTH).all(axis=-1)
-                             & (residual <= tol))
-    return SolutionArrays(rotations, orientations, points, signs, residuals, accepted)
+    # every kept (slot, row) with a sphere point at once; legs are (3, 6, 2, M).
+    # np.take, not fancy indexing: its result keeps the gathered axis last
+    # in memory too, so the legs stay components first
+    audit = np.flatnonzero(rotations.kept.T & hit[0])
+    legs = leg_vectors(geom, ra.reshape(3, 3, -1).take(audit, axis=2)[:, :, None],
+                       points.reshape(3, 2, -1).take(audit, axis=2))
+    audited = np.sqrt(np.add.reduce(legs * legs, axis=0))
+    residual = np.abs(audited - lengths[:, None, None]).max(axis=0)
+    residuals.reshape(2, -1)[:, audit] = residual
+    accepted.reshape(2, -1)[:, audit] = (hit.reshape(2, -1)[:, audit] & (residual <= tol)
+                                         & (audited >= MIN_LEG_LENGTH).all(axis=0))
+    return SolutionArrays(rotations, orientations.T, points.T, signs.T, residuals.T, accepted.T)
 
 
 def solutions_from_w(geom: PlatformGeometry, w, lengths) -> list:

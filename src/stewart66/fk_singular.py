@@ -171,8 +171,7 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     Infeasible samples are recorded, not fatal.  Grid values are w1, or
     arc length when the system is not w1-parameterizable.
     """
-    _real(w1_min, "w1_min")  # checked only: the grid takes the bounds as given
-    _real(w1_max, "w1_max")
+    w1_min, w1_max = _real(w1_min, "w1_min"), _real(w1_max, "w1_max")
     try:
         count = operator.index(None if isinstance(samples, bool) else samples)  # True is no count
     except TypeError:
@@ -234,7 +233,7 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     """
     if not system.parameterizable_by_w1:
         raise NotParameterizable("family is not indexed by w1")
-    _real(w1_hint_max, "w1_hint_max")
+    w1_hint_max = _real(w1_hint_max, "w1_hint_max")
     if not w1_hint_max > 0.0:
         raise ValidationError(f"w1_hint_max must be positive, got {w1_hint_max!r}")
     grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)

@@ -17,7 +17,6 @@ from .geometry import PlatformGeometry
 from .rotation import Quaternion, to_matrix
 
 MIN_LEG_LENGTH = 1e-12
-EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -35,20 +34,24 @@ class Pose:
 
 
 def leg_vectors(geom: PlatformGeometry, ra, position) -> np.ndarray:
-    """Leg vectors (..., 6, 3), row i = (mu*R*A - I) @ B_i + P, for combined
-    rotations ra = R @ A (..., 3, 3) and plate positions P (..., 3).  Every
-    B_i has z = 0, so only the first two columns of mu*R*A - I act on it.
-    The rows of every stacked mu*R*A - I meet the base in one matrix
-    product, (rows, 2) @ (2, 6), however many rotations are stacked."""
-    m = geom.mu * np.asarray(ra, dtype=float)[..., :2] - EYE3[:, :2]
-    legs = (m.reshape(-1, 2) @ geom.base.T).reshape(m.shape[:-1] + (6,))
-    return legs.swapaxes(-1, -2) + np.asarray(position, dtype=float)[..., None, :]
+    """Leg vectors (3, 6, ...), components first: leg i is
+    (mu*R*A - I) @ B_i + P for combined rotations ra = R @ A (3, 3, ...)
+    and plate positions P (3, ...).  Every B_i = (x_i, y_i, 0), so with
+    m = mu*R*A - I, component c of leg i is m[c, 0]*x_i + m[c, 1]*y_i + P[c]."""
+    ra = np.asarray(ra, dtype=float)
+    # base coordinates (6, 1, ...) against the batch axes of ra
+    x, y = geom.base.T.reshape((2, 6) + (1,) * (ra.ndim - 2))
+    m = geom.mu * ra[:, :2, None]  # columns 0 and 1 of mu*R*A - I
+    m[0, 0] -= 1.0
+    m[1, 1] -= 1.0
+    return m[:, 0] * x + m[:, 1] * y + np.asarray(position, dtype=float)[:, None]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
     """Euclidean lengths of the six legs; DegenerateLeg if one collapses."""
     ra = to_matrix(pose.orientation) @ geom.top_transform
-    lengths = np.linalg.norm(leg_vectors(geom, ra, pose.position), axis=-1)
+    legs = leg_vectors(geom, ra, pose.position)
+    lengths = np.sqrt(np.add.reduce(legs * legs, axis=0))
     if np.any(lengths < MIN_LEG_LENGTH):
         raise DegenerateLeg(f"leg {int(np.argmin(lengths)) + 1} collapsed to zero length")
     return lengths

@@ -25,9 +25,10 @@ class Quaternion:
     q3: float
 
     def __post_init__(self):
-        # a NaN or infinite component is left to the norm test: NotUnit
+        # stored as floats; a NaN or infinite component is left to the norm
+        # test: NotUnit
         for name in ("q0", "q1", "q2", "q3"):
-            _real(getattr(self, name), name, finite=False)
+            object.__setattr__(self, name, _real(getattr(self, name), name, finite=False))
         norm = math.sqrt(self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
@@ -60,26 +61,23 @@ def to_matrix(q: Quaternion) -> np.ndarray:
 
 
 def to_matrices(q) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of unit quaternion components (..., 4)."""
-    q = np.asarray(q, dtype=float)
-    out = np.empty(q.shape[:-1] + (3, 3))
-    for i, row in enumerate(_matrix_rows(q[..., 0], q[..., 1], q[..., 2], q[..., 3])):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
-    return out
+    """Rotation matrices (3, 3, ...) of unit quaternion components (4, ...),
+    components first: entry [i, j] is one block over the whole batch."""
+    return np.array(_matrix_rows(*np.asarray(q, dtype=float)))
 
 
 def canonicalize(q) -> np.ndarray:
-    """Unit quaternion components (..., 4), renormalized like Quaternion and
-    with the first nonzero component positive: the q0 >= 0 representative
-    of {q, -q}, with an exactly zero q0 tied on the next component.
+    """Unit quaternion components (4, ...), components first, renormalized
+    like Quaternion and with the first nonzero component positive: the
+    q0 >= 0 representative of {q, -q}, with an exactly zero q0 tied on the
+    next component.
     """
     q = np.array(q, dtype=float)
-    norm = np.sqrt(np.add.reduce(q * q, axis=-1))[..., None]
+    norm = np.sqrt(np.add.reduce(q * q, axis=0))
     np.divide(q, norm, out=q, where=np.abs(norm - 1.0) > RENORM_TOL)
     # 8*s0 outweighs 4*s1 + 2*s2 + s3, so the weighted sum of the signs has
     # the sign of the first nonzero component
-    flip = (np.sign(q) @ LEAD_WEIGHTS < 0.0)[..., None]
+    flip = (LEAD_WEIGHTS @ np.sign(q).reshape(4, -1) < 0.0).reshape(q.shape[1:])
     # 0.0 - x instead of -x keeps zero components at +0.0
     np.subtract(0.0, q, out=q, where=flip)
     return q

@@ -106,7 +106,7 @@ def leg_jacobian(geom, pose):
     """The 6x6 leg Jacobian of a pose: row i is (u_i, (mu R A B_i) x u_i),
     u_i the unit vector of leg i and mu R A B_i its top anchor about P."""
     ra = to_matrix(pose.orientation) @ geom.top_transform
-    legs = leg_vectors(geom, ra, pose.position)
+    legs = leg_vectors(geom, ra, pose.position).T
     u = legs / np.linalg.norm(legs, axis=1, keepdims=True)
     anchors = geom.mu * np.column_stack([geom.base, np.zeros(6)]) @ ra.T
     return np.hstack([u, np.cross(anchors, u)])

@@ -68,8 +68,10 @@ def zero_pattern_rows(rng, draws=25):
         q[:, j] = np.where(patterns[:, None], q[:, j], small * q[:, j])
     q = q.reshape(-1, 4)
     q /= np.linalg.norm(q, axis=1)[:, None]
-    m = to_matrices(q)
-    return np.column_stack([m[:, 0, 0], m[:, 0, 1] + m[:, 1, 0], m[:, 1, 1]])
+    m = to_matrices(q.T)
+    rows = np.column_stack([m[0, 0], m[0, 1] + m[1, 0], m[1, 1]])
+    assert rows.shape == (len(q), 3)  # one row per quaternion
+    return rows
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
@@ -89,6 +91,28 @@ def test_dedup_matches_earlier_kept_rule(mu, rng):
         got = batch.quaternions[row, batch.kept[row]]
         assert len(got) == len(expected)
         assert np.all(np.abs(got - np.reshape(expected, got.shape)) <= 1e-9)
+
+
+ROW_FIELDS = ("orientations", "positions", "signs", "residuals", "accepted")
+CANDIDATE_FIELDS = ("quaternions", "kept", "fits", "squares", "norm2", "alpha", "beta", "gamma")
+
+
+@pytest.mark.parametrize("kind", ["circle", "top_rotation"])
+def test_a_row_solves_the_same_in_any_batch(kind):
+    # fk_solve hands solution_arrays a batch of one and sweep a whole grid:
+    # every output of a row, bit for bit, must not depend on its batch
+    geom, system, _ = family(kind)
+    assert (geom._ra_to_plate is None) == (kind == "circle")
+    w = w_at(system, np.linspace(0.0, HINT, 301))
+    batch = solution_arrays(geom, w, system.lengths)
+    assert batch.feasible.any() and not batch.feasible.all()
+    for row in range(len(w)):
+        one = solution_arrays(geom, w[row:row + 1], system.lengths)
+        for name in ROW_FIELDS:
+            assert getattr(one, name).tobytes() == getattr(batch, name)[row:row + 1].tobytes()
+        for name in CANDIDATE_FIELDS:
+            assert (getattr(one.rotations, name).tobytes()
+                    == getattr(batch.rotations, name)[row:row + 1].tobytes())
 
 
 @pytest.mark.parametrize("kind", W1_FAMILIES)

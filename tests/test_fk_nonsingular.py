@@ -37,8 +37,8 @@ def candidates(w, mu):
 def points(w, q, geom):
     """Sphere stage for one candidate: [(P, sign)], + before -."""
     ra = to_matrix(q) @ geom.top_transform
-    pts, signs, hit = sphere_points(np.asarray(w, dtype=float)[None], ra[None, None], geom.mu)
-    return [(pts[0, 0, b], int(signs[0, 0, b])) for b in range(2) if hit[0, 0, b]]
+    pts, signs, hit = sphere_points(np.asarray(w, dtype=float)[None], ra[..., None, None], geom.mu)
+    return [(pts[:, b, 0, 0], int(signs[b, 0, 0])) for b in range(2) if hit[b, 0, 0]]
 
 
 @pytest.mark.parametrize("base, error", [
@@ -194,12 +194,12 @@ def test_audit_residuals_match_the_norm_of_each_pose_to_the_byte(rng):
     # every row's points are the poses of its own w; only row 0 fits the lengths
     target = leg_lengths(geom, poses[0])
     batch = solution_arrays(geom, np.array([w_from_pose(geom, p) for p in poses]), target)
-    ra = to_matrices(batch.rotations.quaternions)
+    ra = to_matrices(batch.rotations.quaternions.T)
     audited = ~np.isnan(batch.residuals)
     assert batch.accepted.any() and (audited & ~batch.accepted).any()
     for row, slot, branch in zip(*np.nonzero(audited)):
-        legs = leg_vectors(geom, ra[row, slot], batch.positions[row, slot, branch])
-        lengths = np.linalg.norm(legs, axis=-1)
+        legs = leg_vectors(geom, ra[:, :, slot, row], batch.positions[row, slot, branch])
+        lengths = np.linalg.norm(legs, axis=0)
         residual = np.abs(lengths - target).max()
         assert batch.residuals[row, slot, branch].tobytes() == residual.tobytes()
         assert batch.accepted[row, slot, branch] == (
@@ -213,7 +213,7 @@ def test_audit_refuses_a_pose_whose_leg_collapses(leg, hexagon_geometry):
     # length 0 is matched, so only the shortest-leg check can refuse it
     position = np.append((1.0 - hexagon_geometry.mu) * hexagon_geometry.base[leg], 0.0)
     pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), position)
-    lengths = np.linalg.norm(leg_vectors(hexagon_geometry, np.eye(3), position), axis=-1)
+    lengths = np.linalg.norm(leg_vectors(hexagon_geometry, np.eye(3), position), axis=0)
     assert lengths[leg] <= 1e-15
     batch = solution_arrays(hexagon_geometry, w_from_pose(hexagon_geometry, pose)[None], lengths)
     assert (batch.residuals[~np.isnan(batch.residuals)] <= 1e-12).any()

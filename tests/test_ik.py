@@ -21,38 +21,40 @@ def identity_pose(height=1.0):
 
 def test_leg_vector_identity_pose_at_height(hexagon_geometry):
     vecs = leg_vectors(hexagon_geometry, np.eye(3), [0.0, 0.0, 1.0])
-    assert np.allclose(vecs[0], [-0.5, 0.0, 1.0])
+    assert vecs.shape == (3, 6)
+    assert np.allclose(vecs[:, 0], [-0.5, 0.0, 1.0])
 
 
 def test_leg_vector_identity_pose_at_origin(hexagon_geometry):
     vecs = leg_vectors(hexagon_geometry, np.eye(3), np.zeros(3))
-    assert np.allclose(vecs[0], [-0.5, 0.0, 0.0])
+    assert np.allclose(vecs[:, 0], [-0.5, 0.0, 0.0])
 
 
 def test_leg_vector_quarter_turn(hexagon_geometry):
     quarter = to_matrix(Quaternion(ROOT_HALF, 0, 0, ROOT_HALF))
     vecs = leg_vectors(hexagon_geometry, quarter, np.zeros(3))
     # 0.5 * (0, 1, 0) - (1, 0, 0)
-    assert np.allclose(vecs[0], [-1.0, 0.5, 0.0])
+    assert np.allclose(vecs[:, 0], [-1.0, 0.5, 0.0])
 
 
 def test_stacked_leg_vectors_match_one_pose_at_a_time(rng):
-    # the audit's shapes: rotations (M, 1, 3, 3) against positions (M, 2, 3)
+    # the audit's shapes, components first: rotations (3, 3, 1, M) against
+    # positions (3, 2, M)
     geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4,
                             top_transform=random_rotation(rng))
     quats = [random_unit_quaternion(rng) for _ in range(7)]
-    ra = np.array([to_matrix(q) @ geom.top_transform for q in quats])[:, None]
-    positions = rng.uniform(-1.0, 1.0, (7, 2, 3))
+    ra = np.array([to_matrix(q) @ geom.top_transform for q in quats]).transpose(1, 2, 0)[:, :, None]
+    positions = rng.uniform(-1.0, 1.0, (3, 2, 7))
     legs = leg_vectors(geom, ra, positions)
-    assert legs.shape == (7, 2, 6, 3)
-    lengths = np.linalg.norm(legs, axis=-1)
+    assert legs.shape == (3, 6, 2, 7)
+    lengths = np.linalg.norm(legs, axis=0)
     for m, q in enumerate(quats):
         for b in range(2):
-            one = leg_vectors(geom, ra[m, 0], positions[m, b])
-            assert one.shape == (6, 3)
-            assert one.tobytes() == legs[m, b].tobytes()
-            pose = Pose(q, positions[m, b])
-            assert leg_lengths(geom, pose).tobytes() == lengths[m, b].tobytes()
+            one = leg_vectors(geom, ra[:, :, 0, m], positions[:, b, m])
+            assert one.shape == (3, 6)
+            assert one.tobytes() == legs[:, :, b, m].tobytes()
+            pose = Pose(q, positions[:, b, m])
+            assert leg_lengths(geom, pose).tobytes() == lengths[:, b, m].tobytes()
 
 
 def test_lengths_identity_pose_at_height(hexagon_geometry):

@@ -15,7 +15,7 @@ import pytest
 from helpers import HEX_ANGLES, hexagon_base, perturbed_hexagon_base, random_rotation
 from stewart66.errors import KinematicsError, NotUnit, ValidationError
 from stewart66.fk_nonsingular import fk_solve
-from stewart66.fk_singular import build_singular_system, sweep, w_at, w_at_arc
+from stewart66.fk_singular import build_singular_system, feasible_interval, sweep, w_at, w_at_arc
 from stewart66.geometry import PlatformGeometry, conic_check, make_circle_base
 from stewart66.ik import Pose, check_lengths, leg_lengths
 from stewart66.rotation import Quaternion
@@ -168,6 +168,18 @@ def test_float32_arrays_read_as_their_float64_values():
     assert fk_solve(geom, lengths)
     assert same(conic_check(geom.base.astype(np.float32)).det_q,
                 conic_check(geom.base).det_q)
+
+
+def test_float32_bounds_read_as_their_float64_values():
+    # the grids are built from the checked floats, so they are float64 too
+    geom, system = PlatformGeometry(base=hexagon_base(), mu=0.5), resting_system()
+    lo, hi = np.float32(0.1), np.float32(0.9)
+    samples = sweep(system, geom, lo, hi, 5)
+    twin = sweep(system, geom, float(lo), float(hi), 5)
+    assert [s.parameter for s in samples] == [s.parameter for s in twin]
+    assert all(type(s.parameter) is float and s.w.dtype == np.float64 for s in samples)
+    assert [fk_bytes(s.poses) for s in samples] == [fk_bytes(s.poses) for s in twin]
+    assert feasible_interval(system, geom, np.float32(5)) == feasible_interval(system, geom, 5.0)
 
 
 def test_numpy_int_arrays_read_as_their_float64_values():

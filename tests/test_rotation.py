@@ -65,6 +65,17 @@ def test_to_matrix_checks_norm():
         to_matrix(q)
 
 
+def test_components_are_stored_as_floats():
+    # ints and float32 are read as their float64 values, so the rotation is
+    # a float64 matrix, as for the float twin
+    for q in ((1, 0, 0, 0), np.float32([0.6, 0.8, 0.0, 0.0]), np.array([0, 0, 3, 4]) / 5):
+        quaternion, twin = Quaternion(*q), Quaternion(*map(float, q))
+        assert all(type(getattr(quaternion, name)) is float for name in ("q0", "q1", "q2", "q3"))
+        assert quaternion == twin
+        assert to_matrix(quaternion).dtype == np.float64
+        assert to_matrix(quaternion).tobytes() == to_matrix(twin).tobytes()
+
+
 def test_canonicalize_flips_negative_q0():
     assert canonicalize([-1.0, 0, 0, 0]).tolist() == [1, 0, 0, 0]
 
@@ -82,8 +93,9 @@ def test_canonicalize_double_cover():
 
 
 def test_canonicalize_breaks_zero_q0_tie():
-    q = canonicalize([[0.0, -1, 0, 0], [0.0, 0, 0, -1]])
-    assert q.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
+    # components first: one quaternion per column
+    q = canonicalize(np.array([[0.0, -1, 0, 0], [0.0, 0, 0, -1]]).T)
+    assert q.T.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
     assert str(q[0, 0]) == "0.0"  # no -0.0 left behind
 
 
@@ -92,11 +104,12 @@ def test_array_forms_match_one_quaternion_at_a_time():
     qs = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0],
                    [0.3, -0.1, 0.9, 0.2], [0.1, 0.7, -0.2, 0.6]])
     qs = qs / np.linalg.norm(qs, axis=1, keepdims=True)
-    mats = to_matrices(qs)
-    assert mats.shape == (6, 3, 3)
+    mats = to_matrices(qs.T)
+    assert mats.shape == (3, 3, 6)
+    mats = mats.transpose(2, 0, 1)
     for q, m in zip(qs, mats):
         assert np.array_equal(m, to_matrix(Quaternion(*q)))
-    for q, m in zip(canonicalize(qs), mats):
+    for q, m in zip(canonicalize(qs.T).T, mats):
         assert np.max(np.abs(from_matrix(m) - q)) <= 1e-15
 
 
