@@ -20,7 +20,8 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotParameterizable, ValidationError, _float_array, _real
-from .fk_nonsingular import SolutionArrays, _fill, solution_arrays, solutions_from_w
+from .fk_nonsingular import (SolutionArrays, _collector_paused, _fill, solution_arrays,
+                             solutions_from_w)
 from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
 
@@ -114,19 +115,19 @@ def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
 
 
 def _squared_gaps(points) -> np.ndarray:
-    """|x[n+1, j] - x[n, i]|^2 for points x (N, K, C): (K, K, N - 1).
+    """|x[:, j, n+1] - x[:, i, n]|^2 for points x (C, K, N), components
+    first and rows last: (K, K, N - 1).
 
     The components are added one at a time, left to right, as
     (d * d).sum(axis=-1) adds fewer than eight terms, so every value is
-    bit-equal to that sum.  Each component is copied with its rows last,
-    so every broadcast's inner loop is N long.
+    bit-equal to that sum.  Each component is one (K, N) block, so every
+    broadcast's inner loop is N long.
     """
-    columns = (np.ascontiguousarray(points[..., c].T) for c in range(points.shape[-1]))
-    x = next(columns)
+    x = points[0]
     total = np.subtract(x[None, :, 1:], x[:, None, :-1])
     total *= total
     d = np.empty_like(total)
-    for x in columns:
+    for x in points[1:]:
         np.subtract(x[None, :, 1:], x[:, None, :-1], out=d)
         d *= d
         total += d
@@ -142,23 +143,24 @@ def _steps(batch: SolutionArrays) -> np.ndarray:
     hypot(|dq|, |dP|) is the square root of the key to within a few ulps,
     so the pair with the smallest hypot has a key within a 1e-12 relative
     margin of the row's smallest; hypot is taken on those pairs only, and
-    its minimum over them is the minimum over every pair.
+    its minimum over them is the minimum over every pair.  The poses are
+    read in the kernel's own order, [component, branch, slot, row], so a
+    pose is the point branch * 4 + slot and every block is a view.
     """
     n = len(batch.accepted) - 1
-    # (point, row), rows last as in _squared_gaps
-    ok = np.ascontiguousarray(batch.accepted.reshape(-1, 8).T)
-    dq2 = _squared_gaps(batch.orientations)
-    dp2 = _squared_gaps(batch.positions.reshape(-1, 8, 3))
-    # a pose is a (slot, branch) point; a pair's key adds its slots' dq2
-    shape = (4, 2, 4, 2, n)
+    ok = batch.accepted.T.reshape(8, -1)  # (point, row)
+    dq2 = _squared_gaps(batch.orientations.T)
+    dp2 = _squared_gaps(batch.positions.T.reshape(3, 8, -1))
+    # a pose is a (branch, slot) point; a pair's key adds its slots' dq2
+    shape = (2, 4, 2, 4, n)
     pair = (ok[:, None, :-1] & ok[None, :, 1:]).reshape(shape)
     key = np.full(shape, np.inf)
-    np.add(dp2.reshape(shape), dq2[:, None, :, None], out=key, where=pair)
+    np.add(dp2.reshape(shape), dq2[None, :, None, :], out=key, where=pair)
     key = key.reshape(64, n)
     near = key <= key.min(axis=0) * (1.0 + 1e-12)
     near &= pair.reshape(64, n)
     gaps = np.full(shape, np.inf)
-    np.hypot(np.sqrt(dq2)[:, None, :, None], np.sqrt(dp2, out=dp2).reshape(shape), out=gaps,
+    np.hypot(np.sqrt(dq2)[None, :, None, :], np.sqrt(dp2, out=dp2).reshape(shape), out=gaps,
              where=near.reshape(shape))
     best = gaps.reshape(64, n).min(axis=0)
     return np.concatenate([[np.nan], np.where(best < np.inf, best, np.nan)])
@@ -188,9 +190,10 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     residual = np.where(batch.accepted, batch.residuals, -np.inf).max(axis=(1, 2))
     residual[~feasible] = np.nan
     steps = _steps(batch)
-    return _fill(SingularCurveSample, grid.tolist(), list(w), list(map(tuple, batch.solutions())),
-                 feasible.tolist(), residual.tolist(),
-                 np.where(np.isnan(steps), None, steps).tolist())
+    with _collector_paused():
+        return _fill(SingularCurveSample, grid.tolist(), list(w), list(map(tuple, batch.solutions())),
+                     feasible.tolist(), residual.tolist(),
+                     np.where(np.isnan(steps), None, steps).tolist())
 
 
 def _refine(system: SingularSystem, geom: PlatformGeometry, inside, outside) -> np.ndarray:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,3 +24,13 @@ def perturbed_geometry():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for the test, and
+    restored after it; the value is whether it is on."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_on else gc.disable)()

@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import pickle
 
@@ -9,7 +10,7 @@ import scalar_oracle as oracle
 from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
                      random_circle_base, random_feasible_pose, random_generic_base,
                      random_rotation)
-from stewart66 import linalg
+from stewart66 import fk_nonsingular, linalg
 from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
                               ValidationError)
 from stewart66.fk_nonsingular import (RESIDUAL_TOL, FkSolution, SolutionArrays, fk_solve,
@@ -477,6 +478,7 @@ def constructed(batch):
 
 def assert_same_bytes(got, expected, batch):
     assert [len(r) for r in got] == [len(r) for r in expected]
+    assert_one_quaternion_per_candidate(got)
     for a, b in zip(sum(got, []), sum(expected, [])):
         qa, qb = a.pose.orientation, b.pose.orientation
         assert [type(x) for x in (qa.q0, qa.q1, qa.q2, qa.q3)] == [float] * 4
@@ -657,3 +659,57 @@ def test_solutions_renormalize_as_the_constructor_does(hexagon_geometry):
     row, slot, _ = np.argwhere(batch.accepted)[3]
     batch.orientations[row, slot] *= 1.0 + 3e-9
     assert_same_bytes(batch.solutions(), constructed(batch), batch)
+
+
+def assert_one_quaternion_per_candidate(rows):
+    """The poses of one (row, rotation_index) share one Quaternion object,
+    and no two candidates share one; returns the count of shared ones."""
+    owners = {}
+    for r, row in enumerate(rows):
+        for s in row:
+            owners.setdefault((r, s.rotation_index), []).append(s.pose.orientation)
+    for plates in owners.values():
+        assert all(q is plates[0] for q in plates)
+    assert len({id(plates[0]) for plates in owners.values()}) == len(owners)
+    return sum(len(plates) == 2 for plates in owners.values())
+
+
+def test_both_branches_of_a_candidate_share_one_quaternion(rng):
+    geom = PlatformGeometry(base=random_circle_base(rng), mu=0.4,
+                            top_transform=random_rotation(rng))
+    pose = random_feasible_pose(geom, rng)
+    system = build_singular_system(geom, leg_lengths(geom, pose))
+    w1 = float(pose.position @ pose.position)
+    samples = sweep(system, geom, w1, w1 + 0.3, 101)
+    assert max(len(s.poses) for s in samples) == 8
+    assert assert_one_quaternion_per_candidate([s.poses for s in samples]) > 100
+
+
+def test_solutions_and_fk_solve_leave_the_collector_as_they_found_it(
+        collector, hexagon_geometry, perturbed_geometry, rng):
+    assert all(resting_hexagon_batch(hexagon_geometry).solutions())
+    assert gc.isenabled() is collector
+    lengths = leg_lengths(perturbed_geometry, random_feasible_pose(perturbed_geometry, rng))
+    assert fk_solve(perturbed_geometry, lengths)
+    assert gc.isenabled() is collector
+
+
+def fill_fails(cls, *columns):
+    raise MemoryError("no room for the objects")
+
+
+@pytest.mark.parametrize("failure", ["nan_position", "fill_fails"])
+def test_solutions_that_raise_leave_the_collector_as_they_found_it(
+        failure, collector, hexagon_geometry, monkeypatch):
+    batch = resting_hexagon_batch(hexagon_geometry)
+    if failure == "nan_position":
+        row, slot, branch = np.argwhere(batch.accepted)[3]
+        batch.positions[row, slot, branch, 1] = math.nan
+        error = ValidationError
+    else:
+        # raised inside the build, while the collector is paused
+        monkeypatch.setattr(fk_nonsingular, "_fill", fill_fails)
+        error = MemoryError
+    with pytest.raises(error):
+        batch.solutions()
+    assert gc.isenabled() is collector

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -162,6 +163,25 @@ def test_sweep_beyond_unit_interval_is_infeasible(hexagon_geometry, resting_syst
     assert not any(s.feasible for s in samples)
     assert all(s.poses == () for s in samples)
     assert all(math.isnan(s.leg_residual) for s in samples)
+
+
+def test_sweep_leaves_the_collector_as_it_found_it(collector, hexagon_geometry, resting_system):
+    assert any(s.poses for s in sweep(resting_system, hexagon_geometry, 0.0, 1.2, 101))
+    assert gc.isenabled() is collector
+    with pytest.raises(ValidationError):
+        sweep(resting_system, hexagon_geometry, 1.0, 0.0, 101)
+    assert gc.isenabled() is collector
+
+
+# with the collector off throughout, a cycle the sweep made would be left
+# for the second collect to find
+@pytest.mark.parametrize("collector", [False], indirect=True)
+def test_a_sweep_leaves_no_reference_cycles(collector, hexagon_geometry, resting_system):
+    gc.collect()
+    samples = sweep(resting_system, hexagon_geometry, 0.0, 1.0, 1001)
+    assert sum(len(s.poses) for s in samples) > 2000
+    del samples
+    assert gc.collect() == 0
 
 
 def test_sweep_two_samples_hits_endpoints(hexagon_geometry, resting_system):
