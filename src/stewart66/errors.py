@@ -52,20 +52,31 @@ class NotParameterizable(KinematicsError):
 
 def _float_array(value, name: str, shape=None) -> np.ndarray:
     """value as a new float array; ValidationError unless it is a regular array
-    of finite numbers, of the given shape if one is given.  Strings and bools
-    are refused, and np.asarray([1.5, True]) is float, so a sequence that is
-    not an ndarray has its items' types checked one by one."""
+    of finite numbers, of the given shape if one is given.  Strings and
+    bools are refused, and an int beyond int64 is read as a float if a
+    float can hold it.  np.asarray([1.5, True]) is float and such ints make
+    an object array, so the items of a sequence or of an object array have
+    their types checked one by one; an object array's must be reals as
+    _real has them."""
     try:
         a = np.asarray(value)
     except ValueError as exc:  # ragged
         raise ValidationError(f"{name} must be a regular array: {exc}") from exc
-    if a.dtype.kind not in "iuf" or not (
-            isinstance(value, np.ndarray)
-            or {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat))):
+    types = (set() if isinstance(value, np.ndarray) and a.dtype != object
+             else set(map(type, np.asarray(value, dtype=object).flat)))
+    if a.dtype == object:
+        real = all(issubclass(t, numbers.Real) and t is not bool for t in types)
+    else:
+        real = a.dtype.kind in "iuf" and types.isdisjoint({bool, np.bool_})
+    if real:
+        try:
+            a = np.array(a, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            real = False
+    if not real:
         raise ValidationError(f"{name} must be numbers, got {value!r:.80}")
     if shape is not None and a.shape != shape:
         raise ValidationError(f"{name} must be an array of shape {shape}, got shape {a.shape}")
-    a = np.array(a, dtype=float)
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} must be finite")
     return a

@@ -16,15 +16,15 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
 from . import linalg
 from .errors import Infeasible, ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
-from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors
-from .rotation import RENORM_TOL, Quaternion, canonicalize, to_matrices
+from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors, plane_map
+from .rotation import RENORM_TOL, Quaternion, canonicalize, columns
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
@@ -241,23 +241,20 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     return RotationCandidates(quaternions.T, kept.T, fits, squares.T, norm2, alpha, beta, gamma)
 
 
-def sphere_points(w, ra, mu: float):
+def sphere_points(w, m):
     """Sphere-line intersections for rotation candidates.
 
-    w is W[N, 6] and ra the combined rotations R @ A (3, 3, K, N),
+    w is W[N, 6] and m the candidates' plane maps (2, 3, K, N) (plane_map),
     components first and rows last.  The planes u.P = w2 and v.P = w3 meet
     in the line r0 + t*n, n = u x v, whose point nearest the origin is
     r0 = ((w2*v - w3*u) x n) / |n|^2; the sphere |P|^2 = w1 picks out up to
-    two parameters t.  u and v are columns of 2 * (mu * R @ A - I), which
-    is invertible for mu < 1, so n never vanishes.  Returns points
+    two parameters t.  u and v are 2 * m, columns of 2 * (mu * R @ A - I),
+    which is invertible for mu < 1, so n never vanishes.  Returns points
     (3, 2, K, N), signs (2, K, N) and hit (2, K, N): branch 0 is the +
     point, or the tangency point with sign 0, branch 1 the - point.
     """
     w1, w2, w3 = np.asarray(w, dtype=float).T[:3]
-    # columns 0 and 1 of 2 * (mu * ra - I)
-    u, v = 2.0 * (mu * ra[:, 0]), 2.0 * (mu * ra[:, 1])
-    u[0] -= 2.0
-    v[1] -= 2.0
+    u, v = 2.0 * m
     n = _cross(u, v)
     nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
     r0 = _cross(w2 * v - w3 * u, n) / nn
@@ -286,8 +283,9 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     orientations = q
     if plate is not None:
         orientations = canonicalize((plate.T @ q.reshape(4, -1)).reshape(q.shape))
-    ra = to_matrices(q)
-    points, signs, hit = sphere_points(w, ra, geom.mu)
+    # one plane map per candidate, from columns 0 and 1 of R(q_RA) = R @ A
+    m = plane_map(geom, list(islice(columns(*q), 2)))
+    points, signs, hit = sphere_points(w, m)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     residuals = np.full(hit.shape, np.nan)
     accepted = np.zeros(hit.shape, dtype=bool)
@@ -295,7 +293,7 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     # np.take, not fancy indexing: its result keeps the gathered axis last
     # in memory too, so the legs stay components first
     audit = np.flatnonzero(rotations.kept.T & hit[0])
-    legs = leg_vectors(geom, ra.reshape(3, 3, -1).take(audit, axis=2)[:, :, None],
+    legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
                        points.reshape(3, 2, -1).take(audit, axis=2))
     audited = np.sqrt(np.add.reduce(legs * legs, axis=0))
     residual = np.abs(audited - lengths[:, None, None]).max(axis=0)

@@ -33,24 +33,33 @@ class Pose:
         object.__setattr__(self, "position", _float_array(self.position, "position", (3,)))
 
 
-def leg_vectors(geom: PlatformGeometry, ra, position) -> np.ndarray:
-    """Leg vectors (3, 6, ...), components first: leg i is
-    (mu*R*A - I) @ B_i + P for combined rotations ra = R @ A (3, 3, ...)
-    and plate positions P (3, ...).  Every B_i = (x_i, y_i, 0), so with
-    m = mu*R*A - I, component c of leg i is m[c, 0]*x_i + m[c, 1]*y_i + P[c]."""
-    ra = np.asarray(ra, dtype=float)
-    # base coordinates (6, 1, ...) against the batch axes of ra
-    x, y = geom.base.T.reshape((2, 6) + (1,) * (ra.ndim - 2))
-    m = geom.mu * ra[:, :2, None]  # columns 0 and 1 of mu*R*A - I
+def plane_map(geom: PlatformGeometry, columns) -> np.ndarray:
+    """Columns 0 and 1 of mu*R*A - I as two column vectors (2, 3, ...), for
+    columns 0 and 1 of the combined rotations R*A (2, 3, ...).  They are all
+    of the map a planar base point meets, and twice them are the normals of
+    the position planes of w2 and w3."""
+    m = np.array(columns, dtype=float)
+    m *= geom.mu
     m[0, 0] -= 1.0
     m[1, 1] -= 1.0
-    return m[:, 0] * x + m[:, 1] * y + np.asarray(position, dtype=float)[:, None]
+    return m
+
+
+def leg_vectors(geom: PlatformGeometry, m, position) -> np.ndarray:
+    """Leg vectors (3, 6, ...), components first: leg i is
+    (mu*R*A - I) @ B_i + P for plane maps m (2, 3, ...) (plane_map) and
+    plate positions P (3, ...).  Every B_i = (x_i, y_i, 0), so leg i is
+    m[0]*x_i + m[1]*y_i + P."""
+    m = np.asarray(m, dtype=float)[:, :, None]
+    # base coordinates (6, 1, ...) against the batch axes of m
+    x, y = geom.base.T.reshape((2, 6) + (1,) * (m.ndim - 3))
+    return m[0] * x + m[1] * y + np.asarray(position, dtype=float)[:, None]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
     """Euclidean lengths of the six legs; DegenerateLeg if one collapses."""
-    ra = to_matrix(pose.orientation) @ geom.top_transform
-    legs = leg_vectors(geom, ra, pose.position)
+    m = plane_map(geom, (to_matrix(pose.orientation) @ geom.top_transform)[:, :2].T)
+    legs = leg_vectors(geom, m, pose.position)
     lengths = np.sqrt(np.add.reduce(legs * legs, axis=0))
     if np.any(lengths < MIN_LEG_LENGTH):
         raise DegenerateLeg(f"leg {int(np.argmin(lengths)) + 1} collapsed to zero length")

@@ -40,15 +40,15 @@ class Quaternion:
         return np.array([self.q0, self.q1, self.q2, self.q3])
 
 
-def _matrix_rows(q0, q1, q2, q3) -> list:
-    # one formula for floats and for arrays of components
+def columns(q0, q1, q2, q3):
+    """The columns of the rotation matrix of unit quaternion components, one
+    at a time: one formula for floats and for arrays of components, so a
+    caller that needs the first columns only evaluates no others."""
     t0, t1, t2 = 2 * q0, 2 * q1, 2 * q2
     d = t0 * q0 - 1
-    return [
-        [d + t1 * q1, t1 * q2 - t0 * q3, t0 * q2 + t1 * q3],
-        [t1 * q2 + t0 * q3, d + t2 * q2, t2 * q3 - t0 * q1],
-        [t1 * q3 - t0 * q2, t0 * q1 + t2 * q3, d + 2 * q3 * q3],
-    ]
+    yield [d + t1 * q1, t1 * q2 + t0 * q3, t1 * q3 - t0 * q2]
+    yield [t1 * q2 - t0 * q3, d + t2 * q2, t0 * q1 + t2 * q3]
+    yield [t0 * q2 + t1 * q3, t2 * q3 - t0 * q1, d + 2 * q3 * q3]
 
 
 def to_matrix(q: Quaternion) -> np.ndarray:
@@ -57,13 +57,7 @@ def to_matrix(q: Quaternion) -> np.ndarray:
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
-    return np.array(_matrix_rows(q0, q1, q2, q3))
-
-
-def to_matrices(q) -> np.ndarray:
-    """Rotation matrices (3, 3, ...) of unit quaternion components (4, ...),
-    components first: entry [i, j] is one block over the whole batch."""
-    return np.array(_matrix_rows(*np.asarray(q, dtype=float)))
+    return np.array(list(zip(*columns(q0, q1, q2, q3))))
 
 
 def canonicalize(q) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 
 from stewart66.errors import DegenerateLeg, DuplicateVertex
 from stewart66.geometry import PlatformGeometry, conic_check, make_circle_base
-from stewart66.ik import Pose, leg_lengths, leg_vectors
+from stewart66.ik import Pose, leg_lengths, leg_vectors, plane_map
 from stewart66.rotation import Quaternion, to_matrix
 
 HEX_ANGLES = np.arange(6) * np.pi / 3
@@ -106,7 +106,7 @@ def leg_jacobian(geom, pose):
     """The 6x6 leg Jacobian of a pose: row i is (u_i, (mu R A B_i) x u_i),
     u_i the unit vector of leg i and mu R A B_i its top anchor about P."""
     ra = to_matrix(pose.orientation) @ geom.top_transform
-    legs = leg_vectors(geom, ra, pose.position).T
+    legs = leg_vectors(geom, plane_map(geom, ra[:, :2].T), pose.position).T
     u = legs / np.linalg.norm(legs, axis=1, keepdims=True)
     anchors = geom.mu * np.column_stack([geom.base, np.zeros(6)]) @ ra.T
     return np.hstack([u, np.cross(anchors, u)])

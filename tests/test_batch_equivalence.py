@@ -10,6 +10,7 @@ BISECT_TOL * (1 + |w1|).
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from stewart66.fk_singular import (BISECT_TOL, SCAN_POINTS, _refine, build_singu
                                    feasible_interval, sweep, w_at, w_at_arc)
 from stewart66.geometry import PlatformGeometry
 from stewart66.ik import Pose, leg_lengths
-from stewart66.rotation import Quaternion, to_matrices
+from stewart66.rotation import Quaternion, columns
 
 HINT = 4.0
 SAMPLES = 201
@@ -68,8 +69,8 @@ def zero_pattern_rows(rng, draws=25):
         q[:, j] = np.where(patterns[:, None], q[:, j], small * q[:, j])
     q = q.reshape(-1, 4)
     q /= np.linalg.norm(q, axis=1)[:, None]
-    m = to_matrices(q.T)
-    rows = np.column_stack([m[0, 0], m[0, 1] + m[1, 0], m[1, 1]])
+    c0, c1 = islice(columns(*q.T), 2)
+    rows = np.column_stack([c0[0], c1[0] + c0[1], c1[1]])
     assert rows.shape == (len(q), 3)  # one row per quaternion
     return rows
 

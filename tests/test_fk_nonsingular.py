@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_s
 from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
 from stewart66.ik import (MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths, leg_vectors,
-                          w_from_pose)
-from stewart66.rotation import Quaternion, to_matrices, to_matrix
+                          plane_map, w_from_pose)
+from stewart66.rotation import Quaternion, columns, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -37,8 +38,8 @@ def candidates(w, mu):
 
 def points(w, q, geom):
     """Sphere stage for one candidate: [(P, sign)], + before -."""
-    ra = to_matrix(q) @ geom.top_transform
-    pts, signs, hit = sphere_points(np.asarray(w, dtype=float)[None], ra[..., None, None], geom.mu)
+    m = plane_map(geom, (to_matrix(q) @ geom.top_transform)[:, :2].T)
+    pts, signs, hit = sphere_points(np.asarray(w, dtype=float)[None], m[..., None, None])
     return [(pts[:, b, 0, 0], int(signs[b, 0, 0])) for b in range(2) if hit[b, 0, 0]]
 
 
@@ -195,11 +196,11 @@ def test_audit_residuals_match_the_norm_of_each_pose_to_the_byte(rng):
     # every row's points are the poses of its own w; only row 0 fits the lengths
     target = leg_lengths(geom, poses[0])
     batch = solution_arrays(geom, np.array([w_from_pose(geom, p) for p in poses]), target)
-    ra = to_matrices(batch.rotations.quaternions.T)
+    maps = plane_map(geom, list(islice(columns(*batch.rotations.quaternions.T), 2)))
     audited = ~np.isnan(batch.residuals)
     assert batch.accepted.any() and (audited & ~batch.accepted).any()
     for row, slot, branch in zip(*np.nonzero(audited)):
-        legs = leg_vectors(geom, ra[:, :, slot, row], batch.positions[row, slot, branch])
+        legs = leg_vectors(geom, maps[:, :, slot, row], batch.positions[row, slot, branch])
         lengths = np.linalg.norm(legs, axis=0)
         residual = np.abs(lengths - target).max()
         assert batch.residuals[row, slot, branch].tobytes() == residual.tobytes()
@@ -214,7 +215,8 @@ def test_audit_refuses_a_pose_whose_leg_collapses(leg, hexagon_geometry):
     # length 0 is matched, so only the shortest-leg check can refuse it
     position = np.append((1.0 - hexagon_geometry.mu) * hexagon_geometry.base[leg], 0.0)
     pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), position)
-    lengths = np.linalg.norm(leg_vectors(hexagon_geometry, np.eye(3), position), axis=0)
+    m = plane_map(hexagon_geometry, np.eye(3)[:, :2].T)
+    lengths = np.linalg.norm(leg_vectors(hexagon_geometry, m, position), axis=0)
     assert lengths[leg] <= 1e-15
     batch = solution_arrays(hexagon_geometry, w_from_pose(hexagon_geometry, pose)[None], lengths)
     assert (batch.residuals[~np.isnan(batch.residuals)] <= 1e-12).any()

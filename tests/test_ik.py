@@ -8,7 +8,7 @@ from helpers import (hexagon_base, random_circle_base, random_feasible_pose,
 from stewart66.errors import DegenerateLeg
 from stewart66.geometry import PlatformGeometry, build_q
 from stewart66.ik import (Pose, d_from_lengths, leg_lengths, leg_vectors,
-                          w_from_pose)
+                          plane_map, w_from_pose)
 from stewart66.rotation import Quaternion, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
@@ -20,37 +20,41 @@ def identity_pose(height=1.0):
 
 
 def test_leg_vector_identity_pose_at_height(hexagon_geometry):
-    vecs = leg_vectors(hexagon_geometry, np.eye(3), [0.0, 0.0, 1.0])
+    vecs = leg_vectors(hexagon_geometry, plane_map(hexagon_geometry, np.eye(3)[:, :2].T),
+                       [0.0, 0.0, 1.0])
     assert vecs.shape == (3, 6)
     assert np.allclose(vecs[:, 0], [-0.5, 0.0, 1.0])
 
 
 def test_leg_vector_identity_pose_at_origin(hexagon_geometry):
-    vecs = leg_vectors(hexagon_geometry, np.eye(3), np.zeros(3))
+    vecs = leg_vectors(hexagon_geometry, plane_map(hexagon_geometry, np.eye(3)[:, :2].T),
+                       np.zeros(3))
     assert np.allclose(vecs[:, 0], [-0.5, 0.0, 0.0])
 
 
 def test_leg_vector_quarter_turn(hexagon_geometry):
     quarter = to_matrix(Quaternion(ROOT_HALF, 0, 0, ROOT_HALF))
-    vecs = leg_vectors(hexagon_geometry, quarter, np.zeros(3))
+    vecs = leg_vectors(hexagon_geometry, plane_map(hexagon_geometry, quarter[:, :2].T),
+                       np.zeros(3))
     # 0.5 * (0, 1, 0) - (1, 0, 0)
     assert np.allclose(vecs[:, 0], [-1.0, 0.5, 0.0])
 
 
 def test_stacked_leg_vectors_match_one_pose_at_a_time(rng):
-    # the audit's shapes, components first: rotations (3, 3, 1, M) against
+    # the audit's shapes, components first: plane maps (2, 3, 1, M) against
     # positions (3, 2, M)
     geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4,
                             top_transform=random_rotation(rng))
     quats = [random_unit_quaternion(rng) for _ in range(7)]
-    ra = np.array([to_matrix(q) @ geom.top_transform for q in quats]).transpose(1, 2, 0)[:, :, None]
+    cols = np.array([(to_matrix(q) @ geom.top_transform)[:, :2].T for q in quats])
+    maps = plane_map(geom, cols.transpose(1, 2, 0)[:, :, None])
     positions = rng.uniform(-1.0, 1.0, (3, 2, 7))
-    legs = leg_vectors(geom, ra, positions)
+    legs = leg_vectors(geom, maps, positions)
     assert legs.shape == (3, 6, 2, 7)
     lengths = np.linalg.norm(legs, axis=0)
     for m, q in enumerate(quats):
         for b in range(2):
-            one = leg_vectors(geom, ra[:, :, 0, m], positions[:, b, m])
+            one = leg_vectors(geom, maps[:, :, 0, m], positions[:, b, m])
             assert one.shape == (3, 6)
             assert one.tobytes() == legs[:, :, b, m].tobytes()
             pose = Pose(q, positions[:, b, m])
@@ -125,6 +129,19 @@ def test_length_system_identity(rng):
         gap = build_q(geom.base) @ w_from_pose(geom, pose) - \
             d_from_lengths(geom, leg_lengths(geom, pose))
         assert np.max(np.abs(gap)) <= 1e-9
+
+
+def test_lengths_match_full_matrix_products_with_a_top_rotation(rng):
+    # the independent formula: leg i is P + mu * (R @ A) @ B_i - B_i with
+    # B_i = (x_i, y_i, 0), every product a full 3x3 one
+    for _ in range(200):
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.1, 0.9),
+                                top_transform=random_rotation(rng))
+        pose = random_feasible_pose(geom, rng)
+        ra = to_matrix(pose.orientation) @ geom.top_transform
+        expected = np.array([np.linalg.norm(pose.position + geom.mu * (ra @ b) - b)
+                             for b in np.column_stack([geom.base, np.zeros(6)])])
+        assert np.max(np.abs(leg_lengths(geom, pose) - expected) / expected) <= 1e-14
 
 
 def test_lengths_invariant_under_quaternion_sign_flip(rng):

@@ -120,6 +120,12 @@ def test_integers_beyond_the_float_range_are_refused():
         check_lengths([10 ** 400] + [1] * 5)
 
 
+def test_integers_beyond_int64_within_the_float_range_are_read_as_floats():
+    # numpy makes an object array of them; a float holds them as _real does
+    assert same(check_lengths([10 ** 30] * 6), np.full(6, 1e30))
+    assert same(check_lengths([10 ** 30, 1.5, 2, 3, 4, 5]), [1e30, 1.5, 2.0, 3.0, 4.0, 5.0])
+
+
 def same(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scalar_oracle as oracle
 from helpers import hexagon_base, random_unit_quaternion
 from stewart66.errors import NotUnit
 from stewart66.geometry import ORTHOGONALITY_TOL, PlatformGeometry
-from stewart66.rotation import (RENORM_TOL, Quaternion, canonicalize, from_matrix, to_matrices,
+from stewart66.rotation import (RENORM_TOL, Quaternion, canonicalize, columns, from_matrix,
                                 to_matrix)
 
 ROOT_HALF = math.sqrt(0.5)
@@ -104,11 +105,12 @@ def test_array_forms_match_one_quaternion_at_a_time():
     qs = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0],
                    [0.3, -0.1, 0.9, 0.2], [0.1, 0.7, -0.2, 0.6]])
     qs = qs / np.linalg.norm(qs, axis=1, keepdims=True)
-    mats = to_matrices(qs.T)
-    assert mats.shape == (3, 3, 6)
-    mats = mats.transpose(2, 0, 1)
-    for q, m in zip(qs, mats):
-        assert np.array_equal(m, to_matrix(Quaternion(*q)))
+    # the kernel's form: columns 0 and 1, components first
+    cols = np.array(list(islice(columns(*qs.T), 2)))
+    assert cols.shape == (2, 3, 6)
+    mats = [to_matrix(Quaternion(*q)) for q in qs]
+    for c, m in zip(cols.transpose(2, 1, 0), mats):
+        assert c.tobytes() == m[:, :2].tobytes()
     for q, m in zip(canonicalize(qs.T).T, mats):
         assert np.max(np.abs(from_matrix(m) - q)) <= 1e-15
 
