@@ -18,9 +18,10 @@ from collections import Counter
 
 import numpy as np
 
-from stewart66 import (DegenerateLeg, Infeasible, KinematicsError,
-                       PlatformGeometry, Pose, Quaternion, ValidationError,
-                       fk_solve, leg_lengths, make_circle_base)
+from stewart66 import (DegenerateLeg, Infeasible, PlatformGeometry, Pose,
+                       Quaternion, ValidationError, fk_solve, leg_lengths,
+                       make_circle_base)
+from stewart66.cli import run
 
 # A returned pose this close to the seed pose, in max norm, is the seed pose.
 FOUND_TOL = 1e-8
@@ -44,15 +45,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mu", type=float, default=0.5)
     args = parser.parse_args(argv)
-    try:
-        census(args.trials, args.seed, args.mu)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KinematicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    return run(census, args.trials, args.seed, args.mu)
 
 
 def census(trials, seed, mu):

@@ -16,9 +16,10 @@ import sys
 
 import numpy as np
 
-from stewart66 import (Infeasible, KinematicsError, PlatformGeometry, Pose,
-                       Quaternion, ValidationError, build_singular_system,
-                       feasible_interval, leg_lengths, make_circle_base, sweep)
+from stewart66 import (Infeasible, PlatformGeometry, Pose, Quaternion,
+                       build_singular_system, feasible_interval, leg_lengths,
+                       make_circle_base, sweep)
+from stewart66.cli import run
 
 
 def main(argv=None):
@@ -26,15 +27,7 @@ def main(argv=None):
     parser.add_argument("--samples", type=int, default=11)
     parser.add_argument("--mu", type=float, default=0.5)
     args = parser.parse_args(argv)
-    try:
-        walk(args.samples, args.mu)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KinematicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    return run(walk, args.samples, args.mu)
 
 
 def walk(samples, mu):

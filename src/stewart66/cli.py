@@ -96,12 +96,11 @@ def load_lengths(path) -> np.ndarray:
     return check_lengths(_reals(path, data, "L", 1))
 
 
-def cmd_ik(args) -> int:
+def cmd_ik(args) -> None:
     geom = load_geometry(args.geom)
     pose = load_pose(args.pose)
     lengths = leg_lengths(geom, pose)
     print(json.dumps({"L": [_jfloat(x) for x in lengths]}))
-    return 0
 
 
 def _conic_json(report) -> dict:
@@ -113,13 +112,12 @@ def _conic_json(report) -> dict:
     }
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> None:
     geom = load_geometry(args.geom)
     print(json.dumps(_conic_json(conic_check(geom.base))))
-    return 0
 
 
-def cmd_fk(args) -> int:
+def cmd_fk(args) -> None:
     geom = load_geometry(args.geom)
     lengths = load_lengths(args.legs)
     try:
@@ -130,7 +128,7 @@ def cmd_fk(args) -> int:
             "message": "base lies on a conic: every pose admits a continuous "
                        "self-motion; use 'sweep' to sample the family",
         }))
-        return 0
+        return
     if not solutions:
         raise Infeasible("no pose reproduces the requested leg lengths")
     payload = []
@@ -144,10 +142,9 @@ def cmd_fk(args) -> int:
             "residual": sol.leg_residual,
         })
     print(json.dumps({"mode": "nonsingular", "solutions": payload}))
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     start = time.perf_counter()
     geom = load_geometry(args.geom)
     lengths = load_lengths(args.legs)
@@ -188,7 +185,6 @@ def cmd_sweep(args) -> int:
         "out": args.out,
         "elapsed_seconds": time.perf_counter() - start,
     }))
-    return 0
 
 
 _GEOM = ("--geom", None, "geometry JSON")
@@ -221,10 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run(action, *args) -> int:
+    """Exit code of action(*args): 0 when it returns, 2 when it raises a
+    ValidationError and 3 on any other KinematicsError, whose message then
+    goes to stderr as "error: ..."."""
     try:
-        return args.func(args)
+        action(*args)
     except KinematicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
+    return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)

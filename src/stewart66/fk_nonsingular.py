@@ -28,10 +28,6 @@ from .rotation import RENORM_TOL, Quaternion, canonicalize, columns
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
-# Unit-norm slack on assembled candidates; guards inconsistent w vectors.
-UNIT_TOL = 1e-6
-# Candidates closer than this (after canonicalization) are the same root.
-DEDUP_TOL = 1e-9
 # Squared half-chord below this collapses the two sphere points into one.
 TANGENT_EPS = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
@@ -47,7 +43,7 @@ EPS = np.finfo(float).eps
 # Sphere branch b is r0 + BRANCHES[b] * step: the + point, then the - point;
 # shaped to stand before the (slot, row) axes.
 BRANCHES = np.array([1.0, -1.0])[:, None, None]
-# Slot pairs LATER[p] > EARLIER[p]; DROPS[k, p] marks the slot k a near pair drops
+# Slot pairs LATER[p] > EARLIER[p]; DROPS[k, p] marks the slot k an equal pair drops
 LATER, EARLIER = np.nonzero(np.tri(4, k=-1, dtype=bool))
 DROPS = LATER == np.arange(4)[:, None]
 
@@ -73,10 +69,6 @@ class RotationCandidates:
     kept: np.ndarray         # (N, 4) bool
     fits: np.ndarray         # (N,) bool: some unit quaternion fits the row
     squares: np.ndarray      # (N, 4) q0^2..q3^2 as formed, before clamping
-    norm2: np.ndarray        # (N,) squared norm of the clamped components
-    alpha: np.ndarray        # (N,)
-    beta: np.ndarray         # (N,)
-    gamma: np.ndarray        # (N,)
 
     def failure(self, row: int) -> str:
         """Why no rotation fits row `row`."""
@@ -84,7 +76,8 @@ class RotationCandidates:
             if self.squares[row, j] < -CLAMP_TOL:
                 return (f"{name} would be {self.squares[row, j]:.3g} < 0: "
                         f"no rotation fits these lengths")
-        return f"candidate norm^2 = {self.norm2[row]:.9g}: w fits no unit quaternion"
+        # only a non-finite square gets here
+        return "w fits no unit quaternion"
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +193,11 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     two comes from the product constraint |q1*q2| = |beta| divided by the
     larger one: its own square root loses its digits to cancellation in
     gamma -/+ alpha.  Sign flips over (q1, q2) jointly and over q3
-    enumerate the rest.  A slot is dropped when it lies within DEDUP_TOL of
-    any earlier slot, kept or not.  That agrees with comparing against the
-    kept slots only: a snapped component is exactly 0 or above sqrt(8*EPS)
-    ~ 4e-8, so two slots are identical or at least 8e-8 apart, and no chain
-    of near slots can pass through a dropped one.
+    enumerate the rest.  A row fits when no square is below -CLAMP_TOL:
+    the four squares add up to 1 by construction, so the clamped ones then
+    do to within 4 * CLAMP_TOL.  A slot is dropped when it equals an
+    earlier slot: a snapped component is exactly 0 or above sqrt(8*EPS)
+    ~ 4e-8, so two slots are identical or at least 8e-8 apart.
     """
     w = np.asarray(w, dtype=float)
     w4, w5, w6 = w[:, 3], w[:, 4], w[:, 5]
@@ -222,9 +215,8 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     # that formed them) are noise either way; snapping them to zero matters
     # because the square root would amplify 1e-16 noise into 1e-8 components
     q0, q1, q2, q3 = np.sqrt(np.where(squares > 8.0 * EPS * scale, squares, 0.0))
-    norm2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-    fits = (squares >= -CLAMP_TOL).all(axis=0) & ~(np.abs(norm2 - 1.0) > UNIT_TOL)
-    big = np.maximum(q1, q2) > 1e-12
+    fits = (squares >= -CLAMP_TOL).all(axis=0)
+    big = np.maximum(q1, q2) > 0.0
     q1, q2 = (np.divide(np.abs(beta), q2, out=q1.copy(), where=big & (q1 <= q2)),
               np.divide(np.abs(beta), q1, out=q2.copy(), where=big & (q1 > q2)))
     q1 = np.where(beta < 0.0, -q1, q1)
@@ -235,10 +227,9 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     quaternions += 0.0
     quaternions = canonicalize(quaternions)
     # np.take, not fancy indexing: it gathers the pairs faster
-    d = quaternions.take(LATER, axis=1) - quaternions.take(EARLIER, axis=1)
-    near = ~(np.sqrt(np.add.reduce(d * d, axis=0)) > DEDUP_TOL)
-    kept = fits & ~(DROPS @ near)
-    return RotationCandidates(quaternions.T, kept.T, fits, squares.T, norm2, alpha, beta, gamma)
+    same = (quaternions.take(LATER, axis=1) == quaternions.take(EARLIER, axis=1)).all(axis=0)
+    kept = fits & ~(DROPS @ same)
+    return RotationCandidates(quaternions.T, kept.T, fits, squares.T)
 
 
 def sphere_points(w, m):
@@ -295,7 +286,8 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     audit = np.flatnonzero(rotations.kept.T & hit[0])
     legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
                        points.reshape(3, 2, -1).take(audit, axis=2))
-    audited = np.sqrt(np.add.reduce(legs * legs, axis=0))
+    legs *= legs
+    audited = np.sqrt(np.add.reduce(legs, axis=0))
     residual = np.abs(audited - lengths[:, None, None]).max(axis=0)
     residuals.reshape(2, -1)[:, audit] = residual
     accepted.reshape(2, -1)[:, audit] = (hit.reshape(2, -1)[:, audit] & (residual <= tol)

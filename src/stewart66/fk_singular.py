@@ -138,30 +138,22 @@ def _steps(batch: SolutionArrays) -> np.ndarray:
     """Per row, the smallest pose gap hypot(|dq|, |dP|) to any pose of the
     row before; nan where either row has no pose.
 
-    One pass ranks all 8 x 8 pose pairs of neighbouring rows by the key
-    |dq|^2 + |dP|^2, with the key infinite unless both poses are accepted.
-    hypot(|dq|, |dP|) is the square root of the key to within a few ulps,
-    so the pair with the smallest hypot has a key within a 1e-12 relative
-    margin of the row's smallest; hypot is taken on those pairs only, and
-    its minimum over them is the minimum over every pair.  The poses are
-    read in the kernel's own order, [component, branch, slot, row], so a
-    pose is the point branch * 4 + slot and every block is a view.
+    hypot is taken on all 8 x 8 pose pairs of neighbouring rows where both
+    poses are accepted.  The poses are read in the kernel's own order,
+    [component, branch, slot, row], so a pose is the point branch * 4 + slot
+    and every block is a view.
     """
     n = len(batch.accepted) - 1
     ok = batch.accepted.T.reshape(8, -1)  # (point, row)
-    dq2 = _squared_gaps(batch.orientations.T)
-    dp2 = _squared_gaps(batch.positions.T.reshape(3, 8, -1))
-    # a pose is a (branch, slot) point; a pair's key adds its slots' dq2
+    dq = _squared_gaps(batch.orientations.T)
+    dp = _squared_gaps(batch.positions.T.reshape(3, 8, -1))
+    np.sqrt(dq, out=dq)
+    np.sqrt(dp, out=dp)
+    # a pose is a (branch, slot) point; a pair's dq is its slots' dq
     shape = (2, 4, 2, 4, n)
-    pair = (ok[:, None, :-1] & ok[None, :, 1:]).reshape(shape)
-    key = np.full(shape, np.inf)
-    np.add(dp2.reshape(shape), dq2[None, :, None, :], out=key, where=pair)
-    key = key.reshape(64, n)
-    near = key <= key.min(axis=0) * (1.0 + 1e-12)
-    near &= pair.reshape(64, n)
     gaps = np.full(shape, np.inf)
-    np.hypot(np.sqrt(dq2)[None, :, None, :], np.sqrt(dp2, out=dp2).reshape(shape), out=gaps,
-             where=near.reshape(shape))
+    np.hypot(dq[None, :, None, :], dp.reshape(shape), out=gaps,
+             where=(ok[:, None, :-1] & ok[None, :, 1:]).reshape(shape))
     best = gaps.reshape(64, n).min(axis=0)
     return np.concatenate([[np.nan], np.where(best < np.inf, best, np.nan)])
 

@@ -1,11 +1,13 @@
 """Shared generators for the test suite; all randomness is seeded by callers."""
 
+from itertools import islice
+
 import numpy as np
 
 from stewart66.errors import DegenerateLeg, DuplicateVertex
 from stewart66.geometry import PlatformGeometry, conic_check, make_circle_base
 from stewart66.ik import Pose, leg_lengths, leg_vectors, plane_map
-from stewart66.rotation import Quaternion, to_matrix
+from stewart66.rotation import Quaternion, columns, to_matrix
 
 HEX_ANGLES = np.arange(6) * np.pi / 3
 
@@ -110,3 +112,24 @@ def leg_jacobian(geom, pose):
     u = legs / np.linalg.norm(legs, axis=1, keepdims=True)
     anchors = geom.mu * np.column_stack([geom.base, np.zeros(6)]) @ ra.T
     return np.hstack([u, np.cross(anchors, u)])
+
+
+def rotation_rows(q):
+    """(R00, R01 + R10, R11) of unit quaternions q (N, 4): the entries
+    that -2 * mu times gives (w4, w5, w6)."""
+    c0, c1 = islice(columns(*np.transpose(q)), 2)
+    return np.column_stack([c0[0], c1[0] + c0[1], c1[1]])
+
+
+def zero_pattern_rows(rng, draws=25):
+    """(w4, w5, w6) rows of unit quaternions for every zero pattern of
+    (q0..q3), the zeroed components exactly 0 or scaled to small values."""
+    patterns = np.array([[(k >> i) & 1 for i in range(4)] for k in range(1, 16)], dtype=bool)
+    q = rng.normal(size=(len(patterns), 6, draws, 4))
+    for j, small in enumerate([0.0, 1e-12, 1e-9, 3e-8, 1e-7, 1e-4]):
+        q[:, j] = np.where(patterns[:, None], q[:, j], small * q[:, j])
+    q = q.reshape(-1, 4)
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    rows = rotation_rows(q)
+    assert rows.shape == (len(q), 3)  # one row per quaternion
+    return rows

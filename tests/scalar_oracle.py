@@ -14,11 +14,23 @@ import math
 import numpy as np
 
 from stewart66.errors import DegenerateLeg, Infeasible
-from stewart66.fk_nonsingular import (CLAMP_TOL, DEDUP_TOL, RESIDUAL_TOL,
-                                      TANGENT_EPS, UNIT_TOL, solution_arrays)
+from stewart66.fk_nonsingular import solution_arrays
 from stewart66.fk_singular import BISECT_TOL, SCAN_POINTS, recover_poses, w_at
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion, to_matrix
+
+# The oracle's own tolerances, not the kernel's: a change to one of the
+# kernel's shows up as a mismatch against these.
+# Squared components this far below zero are rounding noise.
+CLAMP_TOL = 1e-10
+# Unit-norm slack on the assembled candidate.
+UNIT_TOL = 1e-6
+# Candidates closer than this are the same root.
+DEDUP_TOL = 1e-9
+# Squared half-chord below this collapses the two sphere points into one.
+TANGENT_EPS = 1e-10
+# Returned solutions must reproduce the input lengths this well (relative).
+RESIDUAL_TOL = 1e-8
 
 
 def canonical(q):

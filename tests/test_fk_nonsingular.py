@@ -6,15 +6,17 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scalar_oracle as oracle
 from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
                      random_circle_base, random_feasible_pose, random_generic_base,
-                     random_rotation)
+                     random_rotation, rotation_rows, zero_pattern_rows)
 from stewart66 import fk_nonsingular, linalg
 from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
                               ValidationError)
-from stewart66.fk_nonsingular import (RESIDUAL_TOL, FkSolution, SolutionArrays, fk_solve,
+from stewart66.fk_nonsingular import (CLAMP_TOL, RESIDUAL_TOL, FkSolution, SolutionArrays, fk_solve,
                                       rotation_candidates, solution_arrays,
                                       solutions_from_w, sphere_points)
 from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_system,
@@ -23,7 +25,7 @@ from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
 from stewart66.ik import (MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths, leg_vectors,
                           plane_map, w_from_pose)
-from stewart66.rotation import Quaternion, columns, to_matrix
+from stewart66.rotation import Quaternion, canonicalize, columns, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -34,6 +36,13 @@ def candidates(w, mu):
     if not c.fits[0]:
         raise Infeasible(c.failure(0))
     return c, [Quaternion(*q) for q in c.quaternions[0, c.kept[0]]]
+
+
+def alpha_beta_gamma(w, mu):
+    """The rotation stage's alpha, beta and gamma of one w vector."""
+    alpha = (w[3] - w[5]) / (4.0 * mu)
+    beta = -w[4] / (8.0 * mu)
+    return alpha, beta, math.hypot(alpha, 2.0 * beta)
 
 
 def points(w, q, geom):
@@ -54,8 +63,9 @@ def test_fk_solve_refuses_rank_deficient_base(base, error):
 
 
 def test_identity_w_gives_single_candidate():
-    cands, qs = candidates([1.0, 0, 0, -1, 0, -1], 0.5)
-    assert (cands.alpha[0], cands.beta[0], cands.gamma[0]) == (0.0, 0.0, 0.0)
+    w = [1.0, 0, 0, -1, 0, -1]
+    _, qs = candidates(w, 0.5)
+    assert alpha_beta_gamma(w, 0.5) == (0.0, 0.0, 0.0)
     assert len(qs) == 1
     q = qs[0]
     assert (q.q0, q.q1, q.q2, q.q3) == (1.0, 0.0, 0.0, 0.0)
@@ -72,8 +82,9 @@ def test_zero_rotation_block_gives_quarter_turn_pair():
 
 def test_half_turn_about_x():
     w = np.array([0.0, 0, 0, -1.0, 0, 1.0])
-    cands, qs = candidates(w, 0.5)
-    assert (cands.alpha[0], cands.gamma[0]) == (-1.0, 1.0)
+    _, qs = candidates(w, 0.5)
+    alpha, _, gamma = alpha_beta_gamma(w, 0.5)
+    assert (alpha, gamma) == (-1.0, 1.0)
     assert len(qs) == 1
     q = qs[0]
     assert (q.q0, q.q1, q.q2, q.q3) == (0.0, 1.0, 0.0, 0.0)
@@ -97,9 +108,10 @@ def test_candidates_reproduce_rotation_block(rng):
         mu = rng.uniform(0.1, 0.9)
         geom = PlatformGeometry(base=random_generic_base(rng), mu=mu)
         w = w_from_pose(geom, random_feasible_pose(geom, rng))
-        cands, qs = candidates(w, mu)
+        _, qs = candidates(w, mu)
         assert 1 <= len(qs) <= 4
-        assert cands.gamma[0] >= abs(cands.alpha[0]) >= 0.0
+        alpha, _, gamma = alpha_beta_gamma(w, mu)
+        assert gamma >= abs(alpha) >= 0.0
         for q in qs:
             r = to_matrix(q)
             assert abs(-2 * mu * r[0, 0] - w[3]) <= 1e-8
@@ -298,6 +310,73 @@ def test_plate_orientations_match_the_matrix_round_trip(top, rng):
             assert min(np.abs(plate - expected).max(), np.abs(plate + expected).max()) <= 1e-15
 
 
+# the base-plane mirror (x, y, z) -> (x, y, -z)
+FLIP = np.array([1.0, 1.0, -1.0])
+
+
+def assert_mirror_slots(batch) -> int:
+    """Kept slots s and s + 2 of a row hold base-plane mirrors, bit for bit:
+    q_RA with (q1, q2) negated, positions (x, y, -z) with the + and - points
+    swapped, and the residuals and acceptance swapped with them; at
+    tangency both branches hold the one point.  Returns the pairs seen."""
+    q, kept = batch.rotations.quaternions, batch.rotations.kept
+    rows, slots = np.nonzero(kept[:, :2] & kept[:, 2:])
+    for row, s in zip(rows, slots):
+        q0, q1, q2, q3 = q[row, s]
+        assert canonicalize([q0, 0.0 - q1, 0.0 - q2, q3]).tobytes() == q[row, s + 2].tobytes()
+        swap = [1, 0] if batch.signs[row, s, 0] else [0, 1]
+        assert batch.signs[row, s + 2].tobytes() == batch.signs[row, s].tobytes()
+        assert (batch.positions[row, s, swap] * FLIP).tobytes() == batch.positions[row, s + 2].tobytes()
+        assert batch.residuals[row, s, swap].tobytes() == batch.residuals[row, s + 2].tobytes()
+        assert batch.accepted[row, s, swap].tobytes() == batch.accepted[row, s + 2].tobytes()
+    return len(rows)
+
+
+@pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
+def test_mirror_slots_hold_mirrored_poses(top, rng):
+    pairs = 0
+    for _ in range(5):
+        a = None if top is None else random_rotation(rng)
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=a)
+        pairs += assert_mirror_slots(top_rotation_batch(geom, rng))
+        # a conic family: one set of lengths, so many rows pass the audit
+        geom = PlatformGeometry(base=random_circle_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=a)
+        pose = random_feasible_pose(geom, rng)
+        system = build_singular_system(geom, leg_lengths(geom, pose))
+        w1 = float(pose.position @ pose.position)
+        batch = solution_arrays(geom, w_at(system, np.linspace(w1, w1 + 0.3, 51)), system.lengths)
+        assert batch.accepted.any()
+        pairs += assert_mirror_slots(batch)
+    assert pairs >= 400
+
+
+@pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
+def test_fk_solve_answers_come_in_mirror_pairs(top, rng):
+    # the mirror of a pose turns R A into FLIP (R A) FLIP; its plate is that
+    # times A^T, here read back through the matrix
+    poses = 0
+    for _ in range(40):
+        a = None if top is None else random_rotation(rng)
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=a)
+        a = geom.top_transform
+        answers = fk_solve(geom, leg_lengths(geom, random_feasible_pose(geom, rng)))
+        for sol in answers:
+            ra = FLIP[:, None] * (to_matrix(sol.pose.orientation) @ a) * FLIP
+            expected = oracle.from_matrix(ra @ a.T).as_array()
+            position = (sol.pose.position * FLIP).tobytes()
+            mirrors = [m for m in answers if m.pose.position.tobytes() == position]
+            assert len(mirrors) == 1
+            mirror = mirrors[0]
+            assert mirror.leg_residual == sol.leg_residual
+            plate = mirror.pose.orientation.as_array()
+            assert min(np.abs(plate - expected).max(), np.abs(plate + expected).max()) <= 1e-14
+        poses += len(answers)
+    assert poses >= 100
+
+
 def test_geometry_arrays_are_read_only(rng):
     # the plate product is read off A once, at construction; it cannot go
     # stale because neither A nor the base can be written afterwards
@@ -381,6 +460,77 @@ def test_random_w_vectors_never_yield_bad_candidates(rng):
     q = cands.quaternions[cands.kept]
     assert np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) <= 1e-6)
     assert np.all(q[:, 0] >= 0.0)
+
+
+def assert_candidate_invariants(w, mu):
+    """The facts rotation_candidates rests on, for every row of w: a row
+    that passes the clamp test fits, and its clamped squares add up to 1;
+    any two slots are equal or at least 8e-8 apart; and a half turn
+    (q0 = 0) keeps slots 0 and 1 only, as slot 2 is slot 1 and slot 3 is
+    slot 0."""
+    c = rotation_candidates(w, mu)
+    clamp = (c.squares >= -CLAMP_TOL).all(axis=1)
+    assert (c.fits == clamp).all()
+    total = np.maximum(c.squares[clamp], 0.0).sum(axis=1)
+    assert np.all(np.abs(total - 1.0) <= 4.0 * CLAMP_TOL + 1e-14)
+    q = c.quaternions
+    d = q[:, :, None] - q[:, None]
+    equal = (q[:, :, None] == q[:, None]).all(axis=-1)
+    assert np.all(equal | (np.sqrt((d * d).sum(axis=-1)) >= 8e-8))
+    assert not c.kept[q[:, 0, 0] == 0.0, 2:].any()
+    return c
+
+
+@given(mu=st.floats(1e-6, 1.0 - 1e-6), exponent=st.floats(-8.0, 150.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_candidate_invariants_hold_for_random_w(mu, exponent, seed):
+    # rows fit only while |w| is about 4 * mu or less, so scale from there
+    w = np.random.default_rng(seed).uniform(-1.5, 1.5, (500, 6)) * (4.0 * mu * 10.0 ** exponent)
+    assert_candidate_invariants(w, mu)
+
+
+@given(mu=st.floats(1e-6, 1.0 - 1e-6), pattern=st.integers(1, 15),
+       small=st.sampled_from([0.0, 1e-12, 1e-9, 3e-8, 1e-7, 1e-4, 1.0]),
+       noise=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]), seed=st.integers(0, 2**32 - 1))
+def test_candidate_invariants_hold_for_perturbed_rotations(mu, pattern, small, noise, seed):
+    # the components outside the bits of pattern are scaled by small
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(500, 4))
+    q[:, [(pattern >> i) & 1 == 0 for i in range(4)]] *= small
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    w = np.zeros((len(q), 6))
+    w[:, 3:] = -2.0 * mu * rotation_rows(q) * (1.0 + noise * rng.normal(size=(len(q), 3)))
+    cands = assert_candidate_invariants(w, mu)
+    if noise == 0.0:
+        assert cands.fits.all()
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
+def test_candidate_invariants_hold_for_zero_pattern_rows(mu, rng):
+    rows = zero_pattern_rows(rng)
+    w = np.zeros((len(rows), 6))
+    w[:, 3:] = -2.0 * mu * rows
+    assert assert_candidate_invariants(w, mu).fits.all()
+
+
+NO_UNIT = "w fits no unit quaternion"
+
+
+@pytest.mark.parametrize("block, message", [
+    ((math.nan, 0.0, 0.0), NO_UNIT),
+    ((0.0, math.inf, 0.0), "q3^2 would be -inf < 0: no rotation fits these lengths"),
+    ((-math.inf, 0.0, math.inf), NO_UNIT),
+    ((1e308, 0.0, -1e308), NO_UNIT),
+], ids=["nan", "inf", "infs", "overflow"])
+def test_non_finite_squares_fit_no_rotation(block, message):
+    w = np.zeros((1, 6))
+    w[0, 3:] = block
+    with np.errstate(all="ignore"):
+        cands = rotation_candidates(w, 1e-3)
+    assert not np.isfinite(cands.squares).all()
+    assert not cands.fits[0] and not cands.kept.any()
+    assert np.isfinite(cands.quaternions).all()
+    assert cands.failure(0) == message
 
 
 BAD_LENGTHS = {
