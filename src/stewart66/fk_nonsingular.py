@@ -7,8 +7,11 @@ is audited against the input lengths before being returned.
 
 The route runs on arrays: solution_arrays takes N w vectors and works on
 (N rows x 4 rotation candidates x 2 sphere branches) at once, building no
-objects.  fk_solve and solutions_from_w are a batch of one; the
-self-motion sweep and feasibility scan are one batch over their grid.
+objects.  Base and top plate are planar, so candidate slots 2-3 are the
+mirror images of slots 0-1 through the base plane: only slots 0-1 go
+through the sphere stage and the audit.  fk_solve and solutions_from_w
+are a batch of one; the self-motion sweep and feasibility scan are one
+batch over their grid.
 """
 
 from __future__ import annotations
@@ -32,6 +35,15 @@ CLAMP_TOL = 1e-10
 TANGENT_EPS = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
+# Largest |w_i| the recovery takes.  Its largest numbers are the squares
+# in sphere_points and the audit, of points no farther out than |r0| <=
+# 4 * |w| / (1 - mu)^3: the plane normals are the columns of
+# 2 * (mu * R * A - I), whose singular values lie in [1 - mu, 1 + mu],
+# and 1 - mu >= 2^-53 for every float mu < 1.  So |w_i| <= 2^340 keeps
+# |r0| <= 2^501, and every square below 2^1006 for a base within 2^500 of
+# the origin, short of the float maximum 2^1024.  The rotation stage
+# divides w by 4 * mu, which stays finite for mu above 2^-680.
+MAX_W = 2.0 ** 340
 
 # Candidate k multiplies (q0, q1, q2, q3) by SIGNS[:, k]: (q1, q2) flip
 # jointly, q3 on its own.
@@ -87,7 +99,8 @@ class SolutionArrays:
     Branch 0 is the + sphere point, or the single point (sign 0) at
     tangency; branch 1 is the - point.  accepted marks the points that
     reproduce the leg lengths; positions and residuals elsewhere are not
-    meaningful.
+    meaningful.  Slots 2-3 hold the base-plane mirrors of slots 0-1 (see
+    solution_arrays), those of dropped slots too.
     """
 
     rotations: RotationCandidates
@@ -264,7 +277,14 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     A point is accepted when no leg collapses and every leg reproduces its
     input length within RESIDUAL_TOL * (1 + max length).  The stages index
     their arrays [component, branch, slot, row], the reverse of the
-    results', so every result field is the transpose of a stage's array.
+    results', so every result field is the transpose of an array built
+    here.  The four candidates (4, 4, N) and their plates are formed in
+    full; the plane maps (2, 3, 2, N), sphere points (3, 2, 2, N) and the
+    audit cover slots 0-1 only.  Slot s + 2 carries q_RA with (q1, q2)
+    negated, so its pose is slot s's mirrored through the base plane, with
+    the same leg lengths: its points are slot s's at (x, y, -z) with the
+    + and - points swapped, and its residuals and verdicts swap with them.
+    A slot-0-1 point is audited when its slot or the mirror slot is kept.
     """
     w = np.asarray(w, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
@@ -274,25 +294,35 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     orientations = q
     if plate is not None:
         orientations = canonicalize((plate.T @ q.reshape(4, -1)).reshape(q.shape))
-    # one plane map per candidate, from columns 0 and 1 of R(q_RA) = R @ A
-    m = plane_map(geom, list(islice(columns(*q), 2)))
+    # one plane map per slot-0-1 candidate, from columns 0 and 1 of R(q_RA) = R @ A
+    m = plane_map(geom, list(islice(columns(*q[:, :2]), 2)))
     points, signs, hit = sphere_points(w, m)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
+    kept = rotations.kept.T
     residuals = np.full(hit.shape, np.nan)
-    accepted = np.zeros(hit.shape, dtype=bool)
-    # every kept (slot, row) with a sphere point at once; legs are (3, 6, 2, M).
-    # np.take, not fancy indexing: its result keeps the gathered axis last
-    # in memory too, so the legs stay components first
-    audit = np.flatnonzero(rotations.kept.T & hit[0])
+    verdict = np.zeros(hit.shape, dtype=bool)
+    # every slot-0-1 (slot, row) with a sphere point at once; legs are
+    # (3, 6, 2, M).  np.take, not fancy indexing: its result keeps the
+    # gathered axis last in memory too, so the legs stay components first
+    audit = np.flatnonzero((kept[:2] | kept[2:]) & hit[0])
     legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
                        points.reshape(3, 2, -1).take(audit, axis=2))
     legs *= legs
     audited = np.sqrt(np.add.reduce(legs, axis=0))
     residual = np.abs(audited - lengths[:, None, None]).max(axis=0)
     residuals.reshape(2, -1)[:, audit] = residual
-    accepted.reshape(2, -1)[:, audit] = (hit.reshape(2, -1)[:, audit] & (residual <= tol)
-                                         & (audited >= MIN_LEG_LENGTH).all(axis=0))
-    return SolutionArrays(rotations, orientations.T, points.T, signs.T, residuals.T, accepted.T)
+    verdict.reshape(2, -1)[:, audit] = (residual <= tol) & (audited >= MIN_LEG_LENGTH).all(axis=0)
+    # slots 2-3 as the mirrors of slots 0-1.  Signs and hit flags are not
+    # swapped: at tangency only branch 0 is hit, with sign 0, and both
+    # branches hold the one point
+    accepted = np.concatenate([verdict & hit, verdict[::-1] & hit], axis=1) & kept
+    positions = np.concatenate([points, points[:, ::-1]], axis=2)
+    # 0.0 - z, not -z: a z that cancels to 0 is +0.0 in the mirror slot too
+    z = positions[2, :, 2:]
+    np.subtract(0.0, z, out=z)
+    return SolutionArrays(rotations, orientations.T, positions.T,
+                          np.concatenate([signs, signs], axis=1).T,
+                          np.concatenate([residuals, residuals[::-1]], axis=1).T, accepted.T)
 
 
 def solutions_from_w(geom: PlatformGeometry, w, lengths) -> list:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotParameterizable, ValidationError, _float_array, _real
-from .fk_nonsingular import (SolutionArrays, _collector_paused, _fill, solution_arrays,
+from .fk_nonsingular import (MAX_W, SolutionArrays, _collector_paused, _fill, solution_arrays,
                              solutions_from_w)
 from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
@@ -106,9 +106,12 @@ def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     """Poses at one point of the family, audited against the leg lengths;
     Infeasible when there are none, ValidationError unless w is six finite
-    numbers and the lengths six positive finite numbers (strings and bools
-    are not numbers)."""
-    solutions = solutions_from_w(geom, _float_array(w, "w", (6,)), check_lengths(lengths))
+    numbers no larger than MAX_W in magnitude and the lengths are as
+    check_lengths takes them (strings and bools are not numbers)."""
+    w = _float_array(w, "w", (6,))
+    if (np.abs(w) > MAX_W).any():
+        raise ValidationError(f"w must be at most {MAX_W:.4g} in magnitude")
+    solutions = solutions_from_w(geom, w, check_lengths(lengths))
     if not solutions:
         raise Infeasible("no pose branch reproduces the leg lengths at this parameter")
     return solutions

@@ -17,6 +17,11 @@ from .geometry import PlatformGeometry
 from .rotation import Quaternion, to_matrix
 
 MIN_LEG_LENGTH = 1e-12
+# Largest leg length taken.  The length system is in L^2 (d_from_lengths),
+# so L up to 2^170 keeps its right-hand side near fk_nonsingular.MAX_W =
+# 2^340.  The w solved from it is larger by up to the system's condition
+# number, which no check here bounds.
+MAX_LENGTH = 2.0 ** 170
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -94,8 +99,12 @@ def d_from_lengths(geom: PlatformGeometry, lengths) -> np.ndarray:
 
 def check_lengths(lengths) -> np.ndarray:
     """lengths as a new float (6,) array; ValidationError unless they are six
-    strictly positive, finite numbers."""
+    strictly positive, finite numbers no larger than MAX_LENGTH."""
     lng = _float_array(lengths, "leg lengths", (6,))
-    if (lng <= 0.0).any():
+    # of six numbers, Python's min and max are cheaper than array reductions
+    values = lng.tolist()
+    if min(values) <= 0.0:
         raise ValidationError("leg lengths must be strictly positive")
+    if max(values) > MAX_LENGTH:
+        raise ValidationError(f"leg lengths must be at most {MAX_LENGTH:.4g}")
     return lng

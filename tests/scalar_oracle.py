@@ -119,25 +119,35 @@ def sphere_points(w, q, geom):
     return [(r0 + t * cr / norm_cr, 1), (r0 - t * cr / norm_cr, -1)]
 
 
-def solutions(geom, w, lengths):
-    """[(rotation_index, position_sign, pose, residual)]; Infeasible when no
+def candidate_points(geom, w, lengths):
+    """[(plate, points)] per rotation candidate, points being
+    [(point, sign, residual, accepted)] for each sphere point, one point at
+    a time; residual is nan where a leg collapses.  Infeasible when no
     rotation fits."""
     lengths = np.asarray(lengths, dtype=float)
     tol = RESIDUAL_TOL * (1.0 + float(lengths.max()))
     out = []
-    for index, cand in enumerate(quaternions(w, geom.mu), start=1):
+    for cand in quaternions(w, geom.mu):
         plate = cand
         if not np.array_equal(geom.top_transform, np.eye(3)):
             plate = from_matrix(to_matrix(cand) @ geom.top_transform.T)
+        points = []
         for point, sign in sphere_points(w, plate, geom):
-            pose = Pose(plate, point)
             try:
-                residual = float(np.max(np.abs(leg_lengths(geom, pose) - lengths)))
+                residual = float(np.max(np.abs(leg_lengths(geom, Pose(plate, point)) - lengths)))
             except DegenerateLeg:
-                continue
-            if residual <= tol:
-                out.append((index, sign, pose, residual))
+                residual = math.nan
+            points.append((point, sign, residual, residual <= tol))
+        out.append((plate, points))
     return out
+
+
+def solutions(geom, w, lengths):
+    """[(rotation_index, position_sign, pose, residual)]; Infeasible when no
+    rotation fits."""
+    return [(index, sign, Pose(plate, point), residual)
+            for index, (plate, points) in enumerate(candidate_points(geom, w, lengths), start=1)
+            for point, sign, residual, accepted in points if accepted]
 
 
 def feasible(geom, w, lengths):

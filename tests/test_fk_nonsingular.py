@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
                      random_circle_base, random_feasible_pose, random_generic_base,
-                     random_rotation, rotation_rows, zero_pattern_rows)
+                     random_rotation, random_unit_quaternion, rotation_rows, zero_pattern_rows)
 from stewart66 import fk_nonsingular, linalg
 from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
                               ValidationError)
-from stewart66.fk_nonsingular import (CLAMP_TOL, RESIDUAL_TOL, FkSolution, SolutionArrays, fk_solve,
-                                      rotation_candidates, solution_arrays,
+from stewart66.fk_nonsingular import (CLAMP_TOL, MAX_W, RESIDUAL_TOL, FkSolution, SolutionArrays,
+                                      fk_solve, rotation_candidates, solution_arrays,
                                       solutions_from_w, sphere_points)
 from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_system,
                                    recover_poses, sweep, w_at, w_at_arc)
 from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
-from stewart66.ik import (MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths, leg_vectors,
-                          plane_map, w_from_pose)
+from stewart66.ik import (MAX_LENGTH, MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths,
+                          leg_vectors, plane_map, w_from_pose)
 from stewart66.rotation import Quaternion, canonicalize, columns, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
@@ -353,6 +353,61 @@ def test_mirror_slots_hold_mirrored_poses(top, rng):
 
 
 @pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
+def test_mirror_slots_at_tangency_match_the_oracle(top, rng):
+    # the pose's position is the point of its candidate's plane line
+    # nearest the origin, so the sphere touches that line, and the line of
+    # the mirror slot: both accept branch 0 alone, with sign 0
+    tangent = 0
+    for _ in range(10):
+        a = None if top is None else random_rotation(rng)
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=a)
+        q = random_unit_quaternion(rng)
+        n = np.cross(*plane_map(geom, (to_matrix(q) @ geom.top_transform)[:, :2].T))
+        p = rng.uniform(-1.0, 1.0, 3)
+        pose = Pose(q, p - (p @ n) / (n @ n) * n)
+        w, lengths = w_from_pose(geom, pose), leg_lengths(geom, pose)
+        batch = solution_arrays(geom, w[None], lengths)
+        expected = oracle.candidate_points(geom, w, lengths)
+        assert batch.rotations.kept.all() and len(expected) == 4  # four distinct candidates
+        for k, (_, points) in enumerate(expected):
+            oks = [ok for *_, ok in points]
+            assert batch.accepted[0, k].tolist() == oks + [False] * (2 - len(points))
+            for b, (point, sign, residual, ok) in enumerate(points):
+                assert batch.signs[0, k, b] == sign
+                assert np.abs(batch.positions[0, k, b] - point).max() <= 1e-9
+                if ok:
+                    assert abs(batch.residuals[0, k, b] - residual) <= 1e-12
+        tangent += int((batch.accepted[0, :, 0] & (batch.signs[0, :, 0] == 0)).sum())
+    assert tangent >= 20  # the pose's slot and its mirror, in every design
+
+
+@pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
+def test_mirror_slots_of_a_point_on_the_base_plane_keep_z_at_positive_zero(top, rng):
+    # P = 0 makes w1 = w2 = w3 = 0 exactly, so every accepted point is the
+    # origin.  Slots 2-3 computed on their own, as sphere_points gives them,
+    # carry z = +0.0 there, and so must their mirrors of slots 0-1.  The
+    # sign of a zero x or y is not held: the mirror reads it off the other
+    # branch of slot s, which the direct route need not match.
+    pairs = 0
+    for _ in range(10):
+        a = None if top is None else random_rotation(rng)
+        geom = PlatformGeometry(base=random_generic_base(rng), mu=rng.uniform(0.2, 0.8),
+                                top_transform=a)
+        pose = Pose(random_unit_quaternion(rng), np.zeros(3))
+        w = w_from_pose(geom, pose)[None]
+        batch = solution_arrays(geom, w, leg_lengths(geom, pose))
+        accepted = batch.accepted[0]
+        assert (batch.positions[0][accepted] == 0.0).all()
+        q = batch.rotations.quaternions.T
+        direct, _, _ = sphere_points(w, plane_map(geom, list(islice(columns(*q[:, 2:]), 2))))
+        for s in np.flatnonzero(accepted[2:, 0]):
+            assert batch.positions[0, s + 2, 0, 2].tobytes() == direct[2, 0, s, 0].tobytes()
+            pairs += 1
+    assert pairs >= 10
+
+
+@pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
 def test_fk_solve_answers_come_in_mirror_pairs(top, rng):
     # the mirror of a pose turns R A into FLIP (R A) FLIP; its plate is that
     # times A^T, here read back through the matrix
@@ -545,6 +600,9 @@ BAD_LENGTHS = {
     "one_bool": [1.0, 1.0, True, 1.0, 1.0, 1.0],  # np.asarray reads it as float
     "ragged": [1.0, 1.0, [1.0, 1.0], 1.0, 1.0, 1.0],
     "none": None,
+    # beyond ik.MAX_LENGTH: lengths * lengths overflowed in d_from_lengths
+    "huge": [1e160] * 6,
+    "huger": [1e200] * 6,
 }
 
 
@@ -571,6 +629,10 @@ BAD_W = {
     "one_bool": [0.0, 0.0, 0.0, False, 0.0, 0.0],
     "ragged": [0.0, [0.0, 0.0], 0.0, 0.0, 0.0, 0.0],
     "none": None,
+    # beyond MAX_W: these overflowed in w4 - w6 (rotation_candidates) and
+    # in w2 * v (sphere_points)
+    "huge_difference": [0.0, 0.0, 0.0, 1e308, 0.0, -1e308],
+    "huge_square": [1e308, 1e308, 0.0, 0.0, 0.0, 0.0],
 }
 
 
@@ -578,6 +640,21 @@ BAD_W = {
 def test_recover_poses_validates_w(w, hexagon_geometry):
     with pytest.raises(ValidationError, match="w must be"):
         recover_poses(hexagon_geometry, w, np.full(6, math.sqrt(1.25)))
+
+
+@pytest.mark.parametrize("mu", [0.5, float(np.nextafter(1.0, 0.0))], ids=["half", "below_one"])
+def test_inputs_at_the_magnitude_bounds_still_answer(mu, rng):
+    # 1 - mu at its smallest is the worst case MAX_W is derived for
+    hexagon = PlatformGeometry(base=hexagon_base(), mu=mu)
+    perturbed = PlatformGeometry(base=perturbed_hexagon_base(), mu=mu)
+    for w in ([0, 0, 0, MAX_W, 0, -MAX_W], [MAX_W, MAX_W, 0, 0, 0, 0],
+              [MAX_W, -MAX_W, MAX_W, -MAX_W, MAX_W, -MAX_W]):
+        with pytest.raises(Infeasible):
+            recover_poses(hexagon, w, np.full(6, MAX_LENGTH))
+    answers = fk_solve(perturbed, np.full(6, MAX_LENGTH))
+    assert answers and all(s.leg_residual <= RESIDUAL_TOL * (1.0 + MAX_LENGTH) for s in answers)
+    with pytest.raises(Infeasible):
+        fk_solve(perturbed, MAX_LENGTH * rng.uniform(0.5, 1.0, 6))
 
 
 @pytest.mark.parametrize("locate", [w_at, w_at_arc])
