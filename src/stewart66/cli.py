@@ -34,8 +34,11 @@ def _jfloat(x) -> float:
     return float(x) + 0.0
 
 
-def _num(x) -> str:
-    return repr(_jfloat(x))
+def _solution_numbers(sol) -> list:
+    """branch_rot, branch_pos, q0-q3, x, y, z and residual of an FkSolution, as printed."""
+    q = sol.pose.orientation
+    return [sol.rotation_index, sol.position_sign,
+            *map(_jfloat, [q.q0, q.q1, q.q2, q.q3, *sol.pose.position.tolist(), sol.leg_residual])]
 
 
 def _load_object(path, what, *keys) -> dict:
@@ -131,16 +134,8 @@ def cmd_fk(args) -> None:
         return
     if not solutions:
         raise Infeasible("no pose reproduces the requested leg lengths")
-    payload = []
-    for sol in solutions:
-        q = sol.pose.orientation
-        payload.append({
-            "q": [_jfloat(q.q0), _jfloat(q.q1), _jfloat(q.q2), _jfloat(q.q3)],
-            "P": [_jfloat(x) for x in sol.pose.position],
-            "branch_rot": sol.rotation_index,
-            "branch_pos": sol.position_sign,
-            "residual": sol.leg_residual,
-        })
+    payload = [{"q": pose[:4], "P": pose[4:], "branch_rot": rot, "branch_pos": sign, "residual": res}
+               for rot, sign, *pose, res in map(_solution_numbers, solutions)]
     print(json.dumps({"mode": "nonsingular", "solutions": payload}))
 
 
@@ -152,19 +147,11 @@ def cmd_sweep(args) -> None:
     samples = sweep(system, geom, args.w1_min, args.w1_max, args.samples)
     lines = [CSV_HEADER]
     for s in samples:
-        w1_txt = _num(s.parameter if system.parameterizable_by_w1 else s.w[0])
+        w1_txt = repr(_jfloat(s.parameter if system.parameterizable_by_w1 else s.w[0]))
         if not s.feasible:
             lines.append(f"{w1_txt},,,,,,,,,,0,")
-            continue
-        for sol in s.poses:
-            q = sol.pose.orientation
-            p = sol.pose.position
-            lines.append(",".join([
-                w1_txt, str(sol.rotation_index), str(sol.position_sign),
-                _num(q.q0), _num(q.q1), _num(q.q2), _num(q.q3),
-                _num(p[0]), _num(p[1]), _num(p[2]),
-                "1", _num(sol.leg_residual),
-            ]))
+        for *pose, res in map(_solution_numbers, s.poses):
+            lines.append(",".join([w1_txt, *map(repr, pose), "1", repr(res)]))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

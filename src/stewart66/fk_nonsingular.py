@@ -35,14 +35,14 @@ CLAMP_TOL = 1e-10
 TANGENT_EPS = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
-# Largest |w_i| the recovery takes.  Its largest numbers are the squares
-# in sphere_points and the audit, of points no farther out than |r0| <=
-# 4 * |w| / (1 - mu)^3: the plane normals are the columns of
-# 2 * (mu * R * A - I), whose singular values lie in [1 - mu, 1 + mu],
-# and 1 - mu >= 2^-53 for every float mu < 1.  So |w_i| <= 2^340 keeps
-# |r0| <= 2^501, and every square below 2^1006 for a base within 2^500 of
-# the origin, short of the float maximum 2^1024.  The rotation stage
-# divides w by 4 * mu, which stays finite for mu above 2^-680.
+# Largest |w_i| solution_arrays, and so every solver, takes.  Its largest
+# numbers are the squares in sphere_points and the audit, of points no
+# farther out than |r0| <= 4 * |w| / (1 - mu)^3: the plane normals are the
+# columns of 2 * (mu * R * A - I), whose singular values lie in
+# [1 - mu, 1 + mu], and 1 - mu >= 2^-53 for every float mu < 1.  So
+# |w_i| <= 2^340 keeps |r0| <= 2^501, and every square below 2^1006 for a
+# base within geometry.MAX_COORDINATE = 2^126 of the origin, short of the
+# float maximum 2^1024.  w / (4 * mu) stays finite for mu above 2^-680.
 MAX_W = 2.0 ** 340
 
 # Candidate k multiplies (q0, q1, q2, q3) by SIGNS[:, k]: (q1, q2) flip
@@ -285,8 +285,11 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     the same leg lengths: its points are slot s's at (x, y, -z) with the
     + and - points swapped, and its residuals and verdicts swap with them.
     A slot-0-1 point is audited when its slot or the mirror slot is kept.
+    ValidationError when some |w_i| exceeds MAX_W or is NaN.
     """
     w = np.asarray(w, dtype=float)
+    if not np.abs(w).max() <= MAX_W:
+        raise ValidationError(f"w must be at most {MAX_W:.4g} in magnitude")
     lengths = np.asarray(lengths, dtype=float)
     rotations = rotation_candidates(w, geom.mu)
     q, plate = rotations.quaternions.T, geom._ra_to_plate
@@ -341,10 +344,10 @@ def fk_solve(geom: PlatformGeometry, lengths) -> list:
     """All isolated poses reproducing the leg lengths; at most eight.
 
     Ordered by (rotation candidate, sphere branch + before -).  Raises
-    ValidationError unless the lengths are six positive finite numbers,
-    SingularBase on a conic base, DegenerateBase below rank 5, and
-    Infeasible when the solved w admits no rotation at all; an empty list
-    means rotations exist but no position reproduces the lengths.
+    ValidationError unless the lengths are six positive finite numbers that
+    solve to a w within MAX_W, SingularBase on a conic base, DegenerateBase
+    below rank 5, and Infeasible when that w admits no rotation at all; an
+    empty list means rotations exist but no position reproduces them.
     """
     lengths = check_lengths(lengths)
     f = factor_for_rank(build_q(geom.base), 6)

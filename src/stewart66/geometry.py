@@ -20,6 +20,17 @@ from .rotation import from_matrix
 
 MIN_VERTEX_SEPARATION = 1e-9
 ORTHOGONALITY_TOL = 1e-9
+# Largest |x| or |y| of a base vertex.  The binding quantity is det Q,
+# which ConicReport hands out: for coordinates up to c, the columns
+# (1, x, y, x^2, xy, y^2) of Q have norms at most sqrt(6) times (1, c, c,
+# c^2, c^2, c^2), so |det Q| <= 216 * c^8 (Hadamard), below 2^1016 for
+# c = 2^126, short of the float maximum 2^1024.  The rank test's column
+# norms square entries of at most 2^252, and fk_nonsingular.MAX_W's
+# derivation needs a base within 2^500 of the origin: both hold with room.
+# At the small end, MIN_VERTEX_SEPARATION keeps a geometry's base away
+# from underflow.
+MAX_COORDINATE = 2.0 ** 126
+_FIRST, _SECOND = np.triu_indices(6, 1)  # the 15 vertex pairs, first < second, row-major
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,13 +46,7 @@ class PlatformGeometry:
     top_transform: Optional[np.ndarray] = None  # (3, 3); identity when omitted
 
     def __post_init__(self):
-        base = _float_array(self.base, "base", (6, 2))
-        diff = base[:, None, :] - base[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
-        dist[np.diag_indices(6)] = np.inf
-        if dist.min() <= MIN_VERTEX_SEPARATION:
-            i, j = np.unravel_index(int(dist.argmin()), dist.shape)
-            raise DuplicateVertex(f"base vertices {i} and {j} coincide")
+        base = _check_distinct(_check_base(self.base))
         a = self.top_transform
         a = np.eye(3) if a is None else _float_array(a, "top transform", (3, 3))
         if np.max(np.abs(a.T @ a - np.eye(3))) > ORTHOGONALITY_TOL:
@@ -82,15 +87,30 @@ class ConicReport:
     conic: Optional[np.ndarray]  # unit (1, x, y, x^2, xy, y^2) coefficients, rank 5 only
 
 
+def _check_base(base) -> np.ndarray:
+    """base as a new float (6, 2) array; ValidationError unless it is six
+    finite planar points with no coordinate beyond MAX_COORDINATE."""
+    base = _float_array(base, "base", (6, 2))
+    if np.abs(base).max() > MAX_COORDINATE:
+        raise ValidationError(f"base coordinates must be at most {MAX_COORDINATE:.4g} in magnitude")
+    return base
+
+
+def _check_distinct(base) -> np.ndarray:
+    """base; DuplicateVertex when two vertices lie within MIN_VERTEX_SEPARATION."""
+    gap = base.take(_FIRST, axis=0) - base.take(_SECOND, axis=0)
+    gap *= gap
+    dist = np.sqrt(gap[:, 0] + gap[:, 1])
+    k = int(dist.argmin())
+    if dist[k] <= MIN_VERTEX_SEPARATION:
+        raise DuplicateVertex(f"base vertices {_FIRST[k]} and {_SECOND[k]} coincide")
+    return base
+
+
 def make_circle_base(angles) -> np.ndarray:
-    """Unit-circle vertices (cos t, sin t); angles must be distinct mod 2*pi."""
+    """Unit-circle vertices (cos t, sin t), distinct as a geometry's must be."""
     th = _float_array(angles, "angles", (6,))
-    for i in range(6):
-        for j in range(i + 1, 6):
-            d = abs(th[i] - th[j]) % (2.0 * np.pi)
-            if min(d, 2.0 * np.pi - d) <= MIN_VERTEX_SEPARATION:
-                raise DuplicateVertex(f"angles {i} and {j} coincide modulo 2*pi")
-    return np.column_stack([np.cos(th), np.sin(th)])
+    return _check_distinct(np.column_stack([np.cos(th), np.sin(th)]))
 
 
 def build_q(base) -> np.ndarray:
@@ -101,8 +121,9 @@ def build_q(base) -> np.ndarray:
 
 def conic_check(base) -> ConicReport:
     """Rank-test the conic matrix; six points on any conic drop it to five.
-    ValidationError unless base is six finite planar points."""
-    q = build_q(_float_array(base, "base", (6, 2)))
+    ValidationError unless base is six finite planar points within
+    MAX_COORDINATE (not necessarily distinct)."""
+    q = build_q(_check_base(base))
     return conic_report(q, linalg.lu_factor(q))
 
 

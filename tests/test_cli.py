@@ -292,6 +292,19 @@ def test_check_perturbed_hexagon(perturbed_geom, capsys):
     assert abs(report["detQ"]) > 1e-9
 
 
+@pytest.mark.parametrize("command", ["check", "fk"])
+@pytest.mark.parametrize("radius", [1e60, 1e150, 1e200])
+def test_a_base_beyond_max_coordinate_exits_2(command, radius, tmp_path, resting_legs, capsys):
+    # once: detQ Infinity (not JSON) at 1e60, rank 3 at 1e150, a traceback at 1e200
+    t = 1.1 * np.arange(6)
+    base = radius * np.column_stack([np.cos(t), np.sin(t)])
+    geom = write(tmp_path / "far.json", {"base": base.tolist(), "mu": 0.5})
+    argv = [command, "--geom", geom] + (["--legs", resting_legs] if command == "fk" else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "base coordinates must be at most" in err
+
+
 def test_check_duplicate_vertices_exit_2(tmp_path, capsys):
     geom = write(tmp_path / "dup.json",
                  {"base": [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5]],

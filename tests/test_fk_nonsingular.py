@@ -20,7 +20,7 @@ from stewart66.fk_nonsingular import (CLAMP_TOL, MAX_W, RESIDUAL_TOL, FkSolution
                                       fk_solve, rotation_candidates, solution_arrays,
                                       solutions_from_w, sphere_points)
 from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_system,
-                                   recover_poses, sweep, w_at, w_at_arc)
+                                   feasible_interval, recover_poses, sweep, w_at, w_at_arc)
 from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
 from stewart66.ik import (MAX_LENGTH, MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths,
@@ -653,8 +653,34 @@ def test_inputs_at_the_magnitude_bounds_still_answer(mu, rng):
             recover_poses(hexagon, w, np.full(6, MAX_LENGTH))
     answers = fk_solve(perturbed, np.full(6, MAX_LENGTH))
     assert answers and all(s.leg_residual <= RESIDUAL_TOL * (1.0 + MAX_LENGTH) for s in answers)
-    with pytest.raises(Infeasible):
-        fk_solve(perturbed, MAX_LENGTH * rng.uniform(0.5, 1.0, 6))
+    # lengths within MAX_LENGTH can solve to a w beyond MAX_W, which
+    # fk_solve refuses; the rest admit no rotation
+    f = factor_for_rank(build_q(perturbed.base), 6)
+    refused = []
+    for _ in range(20):
+        lengths = MAX_LENGTH * rng.uniform(0.5, 1.0, 6)
+        refused.append(np.abs(linalg.solve(f, d_from_lengths(perturbed, lengths))).max() > MAX_W)
+        with pytest.raises(ValidationError if refused[-1] else Infeasible):
+            fk_solve(perturbed, lengths)
+    assert any(refused) and not all(refused)
+
+
+def test_fk_solve_refuses_lengths_that_solve_beyond_max_w(perturbed_geometry):
+    # within MAX_LENGTH, but the solved w is 2.7 * MAX_W
+    lengths = MAX_LENGTH * np.array([0.5, 1.0, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="w must be at most"):
+        fk_solve(perturbed_geometry, lengths)
+
+
+@pytest.mark.parametrize("entry", ["sweep", "feasible_interval"])
+def test_family_solvers_refuse_w_beyond_max_w(entry, hexagon_geometry):
+    # w1 = 1e200 is far past MAX_W; before the bound this overflowed
+    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    with pytest.raises(ValidationError, match="w must be at most"):
+        if entry == "sweep":
+            sweep(system, hexagon_geometry, 0.0, 1e200, 11)
+        else:
+            feasible_interval(system, hexagon_geometry, 1e200)
 
 
 @pytest.mark.parametrize("locate", [w_at, w_at_arc])

@@ -8,8 +8,18 @@ from hypothesis import strategies as st
 from helpers import (CIRCLE_COEFFS, HEX_ANGLES, hexagon_base,
                      perturbed_hexagon_base, random_rotation)
 from stewart66.errors import DuplicateVertex, ValidationError
-from stewart66.geometry import (PlatformGeometry, build_q, conic_check,
-                                make_circle_base)
+from stewart66.geometry import (MAX_COORDINATE, MIN_VERTEX_SEPARATION, PlatformGeometry,
+                                build_q, conic_check, make_circle_base)
+
+# radii at which a circle base once broke the conic check: det Q overflowed
+# (1e60), the rank test's column norms did and it read rank 3 (1e150), or
+# lu_factor raised a bare ValueError (1e200)
+FAR_RADII = [1e60, 1e150, 1e200]
+
+
+def far_circle(radius):
+    t = 1.1 * np.arange(6)
+    return radius * np.column_stack([np.cos(t), np.sin(t)])
 
 
 def test_hexagon_angles_give_regular_hexagon():
@@ -32,6 +42,37 @@ def test_duplicate_angles_rejected():
 def test_angles_coinciding_mod_two_pi_rejected():
     with pytest.raises(DuplicateVertex):
         make_circle_base([0.0, 2.0 * np.pi, 1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("start", [2.0, 2.0 * np.pi - 0.5e-9], ids=["mid_circle", "across_two_pi"])
+@pytest.mark.parametrize("ratio, duplicate", [(0.99, True), (1.01, False)],
+                         ids=["just_inside", "just_outside"])
+def test_circle_base_and_geometry_agree_on_vertex_separation(start, ratio, duplicate):
+    angles = np.array([start, start + ratio * MIN_VERTEX_SEPARATION, 0.5, 1.0, 3.0, 4.0])
+    points = np.column_stack([np.cos(angles), np.sin(angles)])
+    for build in (make_circle_base, lambda a: PlatformGeometry(base=points, mu=0.5)):
+        if duplicate:
+            with pytest.raises(DuplicateVertex, match="base vertices 0 and 1 coincide"):
+                build(angles)
+        else:
+            build(angles)
+
+
+@pytest.mark.parametrize("radius", FAR_RADII)
+def test_bases_beyond_max_coordinate_are_refused(radius):
+    with pytest.raises(ValidationError, match="base coordinates must be at most"):
+        PlatformGeometry(base=far_circle(radius), mu=0.5)
+    with pytest.raises(ValidationError, match="base coordinates must be at most"):
+        conic_check(far_circle(radius))
+
+
+def test_a_base_at_max_coordinate_still_answers():
+    base = far_circle(MAX_COORDINATE)
+    assert np.abs(base).max() <= MAX_COORDINATE
+    report = conic_check(base)
+    assert report.rank == 5 and np.isfinite(report.det_q)
+    assert conic_check(base * [1.0, 0.5]).rank == 5  # an ellipse
+    PlatformGeometry(base=base, mu=0.5)
 
 
 def test_build_q_first_vertex_row():
