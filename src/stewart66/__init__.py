@@ -4,13 +4,12 @@ solution forward problem off the conic, and the one-parameter
 self-motion family on conic bases."""
 
 from .errors import (DegenerateBase, DegenerateLeg, DuplicateVertex,
-                     Inconsistent, Infeasible, KinematicsError,
-                     NotParameterizable, NotUnit, SingularBase,
-                     ValidationError, WrongRank)
+                     Inconsistent, Infeasible, KinematicsError, NotUnit,
+                     SingularBase, ValidationError, WrongRank)
 from .fk_nonsingular import FkSolution, fk_solve
 from .fk_singular import (SingularCurveSample, SingularSystem,
                           build_singular_system, feasible_interval,
-                          recover_poses, sweep, w_at, w_at_arc)
+                          recover_poses, sweep, w_at)
 from .geometry import (ConicReport, PlatformGeometry, conic_check,
                        make_circle_base)
 from .ik import Pose, leg_lengths
@@ -21,10 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConicReport", "DegenerateBase", "DegenerateLeg", "DuplicateVertex",
     "FkSolution", "Inconsistent", "Infeasible", "KinematicsError",
-    "NotParameterizable", "NotUnit", "PlatformGeometry", "Pose",
-    "Quaternion", "SingularBase", "SingularCurveSample", "SingularSystem",
-    "ValidationError", "WrongRank",
+    "NotUnit", "PlatformGeometry", "Pose", "Quaternion", "SingularBase",
+    "SingularCurveSample", "SingularSystem", "ValidationError", "WrongRank",
     "build_singular_system", "conic_check", "feasible_interval", "fk_solve",
     "leg_lengths", "make_circle_base", "recover_poses", "sweep", "w_at",
-    "w_at_arc",
 ]

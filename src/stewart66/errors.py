@@ -46,10 +46,6 @@ class Infeasible(KinematicsError):
     """No rotation/position candidate is compatible with the data."""
 
 
-class NotParameterizable(KinematicsError):
-    """Null direction has (numerically) no w1 component; use arc length."""
-
-
 def _float_array(value, name: str, shape=None) -> np.ndarray:
     """value as a new float array; ValidationError unless it is a regular array
     of finite numbers, of the given shape if one is given.  Strings and

@@ -3,9 +3,11 @@
 On a conic the length system has rank five, so fixing the six lengths
 leaves a whole line of w vectors: particular + span(null direction).
 The sphere equation |P|^2 = w1 makes w1 the natural parameter along that
-line; each parameter value re-enters the nonsingular recovery and yields
-up to eight poses, all with identical leg lengths.  sweep and the
-feasibility scan hand their whole grid to that recovery as one batch;
+line, or signed arc length where the line keeps w1 fixed (a conic through
+the base origin); w_at places either.  Each parameter value re-enters the
+nonsingular recovery and yields up to eight poses, all with identical leg
+lengths.  sweep and the feasibility scan hand their whole grid to that
+recovery as one batch;
 the refinement of the scan's flips splits every open bracket into equal
 cells and evaluates all their points as one batch per round.
 """
@@ -19,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, NotParameterizable, ValidationError, _float_array, _real
-from .fk_nonsingular import (SolutionArrays, _collector_paused, _fill, solution_arrays,
+from .errors import Infeasible, ValidationError, _float_array, _real
+from .fk_nonsingular import (MAX_W, SolutionArrays, _collector_paused, _fill, solution_arrays,
                              solutions_from_w)
 from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
@@ -29,7 +31,7 @@ from .ik import check_lengths, d_from_lengths
 W1_COMPONENT_TOL = 1e-8
 
 SCAN_POINTS = 1000
-# Relative width, scaled by 1 + |w1|, at which a boundary bracket closes.
+# Relative width, scaled by 1 + |parameter|, at which a boundary bracket closes.
 BISECT_TOL = 1e-9
 # Equal cells a bracket is split into per batched evaluation: 31 points.
 _CELLS = 32
@@ -81,26 +83,23 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     )
 
 
-def w_at(system: SingularSystem, w1) -> np.ndarray:
-    """The unique solution-line point whose first coordinate is w1: (6,) for
-    a number, (N, 6) for N values.  ValidationError unless w1 holds
-    finite, non-negative numbers."""
-    if not system.parameterizable_by_w1:
-        raise NotParameterizable(
-            "null direction has no w1 component; index the family by arc "
-            "length (w_at_arc)")
-    w1 = _float_array(w1, "w1")
-    if np.any(w1 < 0.0):
-        raise ValidationError(
-            f"w1 is a squared position norm, must be >= 0, got {np.min(w1)}")
-    t = (w1 - system.particular[0]) / system.null_dir[0]
+def w_at(system: SingularSystem, s) -> np.ndarray:
+    """The solution-line point at family parameter s: (6,) for a number,
+    (N, 6) for N values.  s is the point's first coordinate w1 when the
+    system is parameterizable_by_w1, and its signed arc length from the
+    particular solution otherwise.  ValidationError unless s holds finite
+    numbers within fk_nonsingular.MAX_W, non-negative where they are w1."""
+    by_w1 = system.parameterizable_by_w1
+    s = t = _float_array(s, "w1" if by_w1 else "arc length")
+    # checked before the w1 division, which could overflow past it
+    if not np.abs(s).max(initial=0.0) <= MAX_W:
+        raise ValidationError(f"w must be at most {MAX_W:.4g} in magnitude")
+    if by_w1:
+        if np.any(s < 0.0):
+            raise ValidationError(
+                f"w1 is a squared position norm, must be >= 0, got {np.min(s)}")
+        t = (s - system.particular[0]) / system.null_dir[0]
     return system.particular + np.multiply.outer(t, system.null_dir)
-
-
-def w_at_arc(system: SingularSystem, arc) -> np.ndarray:
-    """Solution-line point at signed arc length from the particular solution:
-    (6,) for a number, (N, 6) for N values."""
-    return system.particular + np.multiply.outer(_float_array(arc, "arc length"), system.null_dir)
 
 
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
@@ -162,9 +161,9 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
           w1_min: float, w1_max: float, samples: int) -> list:
     """Evaluate the family on a uniform parameter grid.
 
-    Infeasible samples are recorded, not fatal.  Grid values are w1, or
-    arc length when the system is not w1-parameterizable.  ValidationError
-    when a grid point's w passes fk_nonsingular.MAX_W.
+    Infeasible samples are recorded, not fatal.  Grid values are the
+    family parameter that w_at takes.  ValidationError when a grid value
+    or its w passes fk_nonsingular.MAX_W.
     """
     w1_min, w1_max = _real(w1_min, "w1_min"), _real(w1_max, "w1_max")
     try:
@@ -175,9 +174,8 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
         raise ValidationError(f"need at least 2 samples, got {samples}")
     if not w1_max > w1_min:
         raise ValidationError("w1_max must exceed w1_min")
-    locate = w_at if system.parameterizable_by_w1 else w_at_arc
     grid = np.linspace(w1_min, w1_max, count)
-    w = locate(system, grid)
+    w = w_at(system, grid)
     batch = solution_arrays(geom, w, system.lengths)
     feasible = batch.feasible
     residual = np.where(batch.accepted, batch.residuals, -np.inf).max(axis=(1, 2))
@@ -190,8 +188,8 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
 
 
 def _refine(system: SingularSystem, geom: PlatformGeometry, inside, outside) -> np.ndarray:
-    """The feasible end of each (inside, outside) w1 bracket, narrowed until
-    its width is at most BISECT_TOL * (1 + |w1|).
+    """The feasible end of each (inside, outside) parameter bracket, narrowed
+    until its width is at most BISECT_TOL * (1 + |inside|).
 
     Each round splits every open bracket into _CELLS equal cells and
     evaluates the interior points of all of them in one solution_arrays
@@ -219,20 +217,21 @@ def _refine(system: SingularSystem, geom: PlatformGeometry, inside, outside) -> 
 
 def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
                       w1_hint_max: float) -> list:
-    """Disjoint closed w1 intervals in [0, hint] where poses exist.
+    """Disjoint closed parameter intervals where poses exist, within
+    [0, hint] on a w1 family and [-hint, hint] on an arc-length one.
 
     A dense scan finds the flips, and equal-cell refinement narrows each
-    to BISECT_TOL * (1 + |w1|); reports what the scan finds without
+    to BISECT_TOL * (1 + |s|); reports what the scan finds without
     claiming the family has no branches beyond the hint.  Every endpoint
-    inside (0, hint) is the feasible end of its last refinement bracket,
-    so it admits a pose; ValidationError when w passes fk_nonsingular.MAX_W.
+    inside the scan range is the feasible end of its last refinement
+    bracket, so it admits a pose; ValidationError when the hint or a w
+    passes fk_nonsingular.MAX_W.
     """
-    if not system.parameterizable_by_w1:
-        raise NotParameterizable("family is not indexed by w1")
     w1_hint_max = _real(w1_hint_max, "w1_hint_max")
     if not w1_hint_max > 0.0:
         raise ValidationError(f"w1_hint_max must be positive, got {w1_hint_max!r}")
-    grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
+    low = 0.0 if system.parameterizable_by_w1 else -w1_hint_max
+    grid = np.linspace(low, w1_hint_max, SCAN_POINTS)
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
     # first and last feasible scan index of each run, one run a row
     ends = np.flatnonzero(np.diff(flags, prepend=False, append=False)).reshape(-1, 2) - [0, 1]

@@ -27,9 +27,13 @@ ORTHOGONALITY_TOL = 1e-9
 # c = 2^126, short of the float maximum 2^1024.  The rank test's column
 # norms square entries of at most 2^252, and fk_nonsingular.MAX_W's
 # derivation needs a base within 2^500 of the origin: both hold with room.
-# At the small end, MIN_VERTEX_SEPARATION keeps a geometry's base away
-# from underflow.
 MAX_COORDINATE = 2.0 ** 126
+# The mirror bound: some |x| or |y| must reach it.  Q's columns scale as
+# (1, r, r, r^2, r^2, r^2) with the base's reach r, so det Q ~ r^8 >=
+# 2^-1008, a normal float, and the rank test's column norms square
+# entries of about 2^-504 or more.  A geometry's base clears it by
+# MIN_VERTEX_SEPARATION.
+MIN_COORDINATE = 2.0 ** -126
 _FIRST, _SECOND = np.triu_indices(6, 1)  # the 15 vertex pairs, first < second, row-major
 
 
@@ -89,10 +93,12 @@ class ConicReport:
 
 def _check_base(base) -> np.ndarray:
     """base as a new float (6, 2) array; ValidationError unless it is six
-    finite planar points with no coordinate beyond MAX_COORDINATE."""
+    finite planar points with no coordinate beyond MAX_COORDINATE in
+    magnitude and one at least MIN_COORDINATE."""
     base = _float_array(base, "base", (6, 2))
-    if np.abs(base).max() > MAX_COORDINATE:
-        raise ValidationError(f"base coordinates must be at most {MAX_COORDINATE:.4g} in magnitude")
+    if not MIN_COORDINATE <= np.abs(base).max() <= MAX_COORDINATE:
+        raise ValidationError(f"base coordinates must be at most {MAX_COORDINATE:.4g} "
+                              f"in magnitude, and one at least {MIN_COORDINATE:.4g}")
     return base
 
 
@@ -122,7 +128,7 @@ def build_q(base) -> np.ndarray:
 def conic_check(base) -> ConicReport:
     """Rank-test the conic matrix; six points on any conic drop it to five.
     ValidationError unless base is six finite planar points within
-    MAX_COORDINATE (not necessarily distinct)."""
+    MAX_COORDINATE, reaching MIN_COORDINATE (not necessarily distinct)."""
     q = build_q(_check_base(base))
     return conic_report(q, linalg.lu_factor(q))
 

@@ -90,13 +90,4 @@ def from_matrix(m) -> np.ndarray:
     s = 2.0 * math.sqrt(diagonal)
     q = [x / s for x in off]
     q.insert(i, s / 4)
-    # canonicalize's renormalization and sign fold in plain floats, so the
-    # result is bit-equal: add.reduce adds four squares left to right, and
-    # q[i] > 0, so a first nonzero component exists
-    q0, q1, q2, q3 = q
-    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-    if abs(norm - 1.0) > RENORM_TOL:
-        q = [x / norm for x in q]
-    if next(filter(None, q)) < 0.0:
-        q = [0.0 - x for x in q]  # 0.0 - x keeps zero components at +0.0
-    return np.array(q)
+    return canonicalize(q)

@@ -5,6 +5,7 @@ from itertools import islice
 import numpy as np
 
 from stewart66.errors import DegenerateLeg, DuplicateVertex
+from stewart66.fk_singular import build_singular_system
 from stewart66.geometry import PlatformGeometry, conic_check, make_circle_base
 from stewart66.ik import Pose, leg_lengths, leg_vectors, plane_map
 from stewart66.rotation import Quaternion, columns, to_matrix
@@ -59,10 +60,19 @@ def random_ellipse_base(rng):
     return np.column_stack([ax * np.cos(t), ay * np.sin(t)]) @ np.array([[c, -s], [s, c]]).T
 
 
-def circle_through_origin_geometry():
+def circle_through_origin_geometry(gap=0.0):
+    """The unit circle centred at (1 + gap, 0): through the base origin at
+    gap 0, where x^2 + y^2 - 2x = 0, and gap from it otherwise."""
     t = np.array([0.3, 1.2, 2.2, 3.3, 4.2, 5.4])
-    base = np.column_stack([1.0 + np.cos(t), np.sin(t)])  # x^2 + y^2 - 2x = 0
+    base = np.column_stack([1.0 + gap + np.cos(t), np.sin(t)])
     return PlatformGeometry(base=base, mu=0.5)
+
+
+def circle_through_origin_system(geom):
+    """geom's family through the identity pose at height 1.  On the origin
+    circle its null direction has no w1 component: arc length indexes it."""
+    pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), np.array([0.0, 0.0, 1.0]))
+    return build_singular_system(geom, leg_lengths(geom, pose))
 
 
 def seeded_conic_family(kind, seed):

@@ -171,7 +171,7 @@ def step(poses, previous):
 
 
 def feasible_at(system, geom, w1):
-    """Whether the family has a pose at w1, by one-point recovery."""
+    """Whether the family has a pose at parameter w1, by one-point recovery."""
     try:
         recover_poses(geom, w_at(system, w1), system.lengths)
     except Infeasible:
@@ -181,7 +181,7 @@ def feasible_at(system, geom, w1):
 
 def refine(system, geom, inside, outside):
     """Bisect a feasibility boundary between a feasible and an infeasible
-    w1, one midpoint at a time; returns the feasible end."""
+    parameter, one midpoint at a time; returns the feasible end."""
     while abs(outside - inside) > BISECT_TOL:
         mid = 0.5 * (inside + outside)
         if feasible_at(system, geom, mid):
@@ -193,8 +193,9 @@ def refine(system, geom, inside, outside):
 
 def feasible_interval(system, geom, w1_hint_max):
     """The scan of fk_singular.feasible_interval, each flip bisected by
-    refine."""
-    grid = np.linspace(0.0, w1_hint_max, SCAN_POINTS)
+    refine: over [0, hint] in w1, or [-hint, hint] in arc length."""
+    low = 0.0 if system.parameterizable_by_w1 else -w1_hint_max
+    grid = np.linspace(low, w1_hint_max, SCAN_POINTS)
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible.tolist()
     intervals = []
     i = 0

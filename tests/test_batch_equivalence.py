@@ -21,7 +21,7 @@ from stewart66 import fk_singular
 from stewart66.errors import Infeasible
 from stewart66.fk_nonsingular import rotation_candidates, solution_arrays
 from stewart66.fk_singular import (BISECT_TOL, SCAN_POINTS, _refine, build_singular_system,
-                                   feasible_interval, sweep, w_at, w_at_arc)
+                                   feasible_interval, sweep, w_at)
 from stewart66.geometry import PlatformGeometry
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion
@@ -112,14 +112,13 @@ def test_scan_flags_match_per_point_recovery(kind):
 @pytest.mark.parametrize("kind", W1_FAMILIES + ["arc_length"])
 def test_sweep_matches_per_sample_recovery(kind):
     geom, system, (lo, hi) = family(kind)
-    locate = w_at if system.parameterizable_by_w1 else w_at_arc
     samples = sweep(system, geom, lo, hi, SAMPLES)
     # infeasible samples stay rows of the sweep, between feasible ones
     assert len(samples) == SAMPLES
     assert any(s.feasible for s in samples) and not all(s.feasible for s in samples)
     previous = []
     for s in samples:
-        assert np.array_equal(s.w, locate(system, s.parameter))
+        assert np.array_equal(s.w, w_at(system, s.parameter))
         expected = expected_poses(geom, s.w, system.lengths)
         assert s.feasible == bool(expected)
         assert [(p.rotation_index, p.position_sign) for p in s.poses] == \
@@ -142,12 +141,12 @@ def test_sweep_matches_per_sample_recovery(kind):
         previous = poses
 
 
-@pytest.mark.parametrize("kind, seed", [("hexagon", None)] + [
+@pytest.mark.parametrize("kind, seed", [("hexagon", None), ("arc_length", None)] + [
     (kind, seed) for kind in ("circle", "ellipse", "top_rotation") for seed in (1, 2, 3, 4, 5)])
 def test_interval_endpoints_match_one_point_bisection(kind, seed):
     # no seeded family has more than one interval (two flips); the test
     # below puts many brackets into one batch instead
-    if kind == "hexagon":
+    if seed is None:
         geom, system, _ = family(kind)
     else:
         geom, lengths = seeded_conic_family(kind, seed)

@@ -293,9 +293,11 @@ def test_check_perturbed_hexagon(perturbed_geom, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "fk"])
-@pytest.mark.parametrize("radius", [1e60, 1e150, 1e200])
-def test_a_base_beyond_max_coordinate_exits_2(command, radius, tmp_path, resting_legs, capsys):
-    # once: detQ Infinity (not JSON) at 1e60, rank 3 at 1e150, a traceback at 1e200
+@pytest.mark.parametrize("radius", [1e60, 1e150, 1e200, 1e-80, 1e-100, 1e-200])
+def test_a_base_outside_the_coordinate_bounds_exits_2(command, radius, tmp_path, resting_legs,
+                                                      capsys):
+    # once: detQ Infinity (not JSON) at 1e60, rank 3 at 1e150, a traceback at
+    # 1e200; the small radii met the distinct-vertex rule, not the bound
     t = 1.1 * np.arange(6)
     base = radius * np.column_stack([np.cos(t), np.sin(t)])
     geom = write(tmp_path / "far.json", {"base": base.tolist(), "mu": 0.5})

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
-from helpers import (collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
+from helpers import (circle_through_origin_geometry, circle_through_origin_system,
+                     collinear_base, hexagon_base, perturbed_hexagon_base, pose_gap,
                      random_circle_base, random_feasible_pose, random_generic_base,
                      random_rotation, random_unit_quaternion, rotation_rows, zero_pattern_rows)
 from stewart66 import fk_nonsingular, linalg
@@ -20,7 +21,7 @@ from stewart66.fk_nonsingular import (CLAMP_TOL, MAX_W, RESIDUAL_TOL, FkSolution
                                       fk_solve, rotation_candidates, solution_arrays,
                                       solutions_from_w, sphere_points)
 from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_system,
-                                   feasible_interval, recover_poses, sweep, w_at, w_at_arc)
+                                   feasible_interval, recover_poses, sweep, w_at)
 from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
 from stewart66.ik import (MAX_LENGTH, MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths,
@@ -672,24 +673,38 @@ def test_fk_solve_refuses_lengths_that_solve_beyond_max_w(perturbed_geometry):
         fk_solve(perturbed_geometry, lengths)
 
 
-@pytest.mark.parametrize("entry", ["sweep", "feasible_interval"])
-def test_family_solvers_refuse_w_beyond_max_w(entry, hexagon_geometry):
-    # w1 = 1e200 is far past MAX_W; before the bound this overflowed
-    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+@pytest.mark.parametrize("family, beyond", [("hexagon", 1e200), ("near_origin", 1e305)])
+@pytest.mark.parametrize("entry", ["w_at", "sweep", "feasible_interval"])
+def test_family_solvers_refuse_w_beyond_max_w(entry, family, beyond, hexagon_geometry):
+    # before the bound, w1 = 1e200 overflowed the recovery, and on the near
+    # origin family (n1 = -8.2e-7) (1e305 - p1) / n1 overflowed w_at itself
+    if family == "hexagon":
+        geom = hexagon_geometry
+        system = build_singular_system(geom, np.full(6, math.sqrt(1.25)))
+    else:
+        geom = circle_through_origin_geometry(gap=1e-6)
+        system = circle_through_origin_system(geom)
+        assert system.parameterizable_by_w1 and abs(system.null_dir[0]) < 1e-6
     with pytest.raises(ValidationError, match="w must be at most"):
-        if entry == "sweep":
-            sweep(system, hexagon_geometry, 0.0, 1e200, 11)
+        if entry == "w_at":
+            w_at(system, beyond)
+        elif entry == "sweep":
+            sweep(system, geom, 0.0, beyond, 11)
         else:
-            feasible_interval(system, hexagon_geometry, 1e200)
+            feasible_interval(system, geom, beyond)
 
 
-@pytest.mark.parametrize("locate", [w_at, w_at_arc])
+@pytest.mark.parametrize("parameter", ["w1", "arc_length"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, [0.5, math.nan]],
                          ids=["nan", "inf", "nan_in_batch"])
-def test_family_points_validate_parameter(locate, value, hexagon_geometry):
-    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
-    with pytest.raises(ValidationError, match="must be finite"):
-        locate(system, value)
+def test_family_points_validate_parameter(parameter, value, hexagon_geometry):
+    if parameter == "w1":
+        system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    else:
+        system = circle_through_origin_system(circle_through_origin_geometry())
+    assert system.parameterizable_by_w1 == (parameter == "w1")
+    with pytest.raises(ValidationError, match=f"{parameter.replace('_', ' ')} must be finite"):
+        w_at(system, value)
 
 
 def resting_hexagon_batch(hexagon_geometry):

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from helpers import (CIRCLE_COEFFS, circle_through_origin_geometry,
-                     collinear_base, hexagon_base, leg_jacobian, pose_gap,
+                     circle_through_origin_system, collinear_base, hexagon_base, leg_jacobian, pose_gap,
                      perturbed_hexagon_base, random_circle_base, random_feasible_pose,
                      random_rotation, random_unit_quaternion, seeded_conic_family)
 from stewart66 import fk_singular
-from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible,
-                              NotParameterizable, ValidationError, WrongRank)
+from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible, ValidationError,
+                              WrongRank)
 from stewart66.fk_nonsingular import solution_arrays
-from stewart66.fk_singular import (build_singular_system, feasible_interval,
-                                   recover_poses, sweep, w_at, w_at_arc)
+from stewart66.fk_singular import (BISECT_TOL, build_singular_system, feasible_interval,
+                                   recover_poses, sweep, w_at)
 from stewart66.geometry import PlatformGeometry, build_q
-from stewart66.ik import Pose, leg_lengths
+from stewart66.ik import Pose, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion
 
 ROOT_125 = math.sqrt(1.25)
@@ -349,26 +349,44 @@ def test_interval_hint_must_be_positive(resting_system, hexagon_geometry):
         feasible_interval(resting_system, hexagon_geometry, math.inf)
 
 
-def test_conic_without_constant_term_is_not_w1_parameterizable():
+def test_conic_without_constant_term_is_indexed_by_arc_length():
     geom = circle_through_origin_geometry()
-    pose = Pose(Quaternion(1, 0, 0, 0), np.array([0.0, 0.0, 1.0]))
-    system = build_singular_system(geom, leg_lengths(geom, pose))
+    system = circle_through_origin_system(geom)
     assert not system.parameterizable_by_w1
-    with pytest.raises(NotParameterizable):
-        w_at(system, 1.0)
-    with pytest.raises(NotParameterizable):
-        feasible_interval(system, geom, 2.0)
-    # arc length still walks the same solution line
-    w = w_at_arc(system, 0.25)
+    # arc length walks the solution line, bit for bit, on either side of
+    # the particular solution, for a number and for a batch
+    for arc in (0.25, -1.5, np.linspace(-4.0, 4.0, 9)):
+        w = w_at(system, arc)
+        expected = system.particular + np.multiply.outer(arc, system.null_dir)
+        assert w.shape == expected.shape and w.tobytes() == expected.tobytes()
     q = build_q(geom.base)
     d0 = q @ system.particular
-    assert np.max(np.abs(q @ w - d0)) <= 1e-9
+    assert np.max(np.abs(q @ w_at(system, 0.25) - d0)) <= 1e-9
+
+
+def test_arc_length_intervals_contain_every_seed_pose(rng):
+    # the scan covers [-hint, hint]: some runs reach below 0, and every
+    # seed's own arc length lies inside a run
+    geom = circle_through_origin_geometry()
+    below_zero = 0
+    for _ in range(4):
+        pose = random_feasible_pose(geom, rng)
+        system = build_singular_system(geom, leg_lengths(geom, pose))
+        assert not system.parameterizable_by_w1
+        t = float((w_from_pose(geom, pose) - system.particular) @ system.null_dir)
+        intervals = feasible_interval(system, geom, 5.0)
+        slack = BISECT_TOL * (1.0 + abs(t))
+        assert any(lo - slack <= t <= hi + slack for lo, hi in intervals)
+        below_zero += any(lo < 0.0 for lo, _ in intervals)
+        for lo, hi in intervals:
+            for arc in (lo, hi):
+                assert recover_poses(geom, w_at(system, arc), system.lengths)
+    assert below_zero
 
 
 def test_arc_length_sweep_flags_parameter(rng):
     geom = circle_through_origin_geometry()
-    pose = Pose(Quaternion(1, 0, 0, 0), np.array([0.0, 0.0, 1.0]))
-    system = build_singular_system(geom, leg_lengths(geom, pose))
+    system = circle_through_origin_system(geom)
     samples = sweep(system, geom, -0.2, 0.2, 5)
     assert len(samples) == 5
     assert any(s.feasible for s in samples)

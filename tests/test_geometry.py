@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from helpers import (CIRCLE_COEFFS, HEX_ANGLES, hexagon_base,
                      perturbed_hexagon_base, random_rotation)
 from stewart66.errors import DuplicateVertex, ValidationError
-from stewart66.geometry import (MAX_COORDINATE, MIN_VERTEX_SEPARATION, PlatformGeometry,
-                                build_q, conic_check, make_circle_base)
+from stewart66.geometry import (MAX_COORDINATE, MIN_COORDINATE, MIN_VERTEX_SEPARATION,
+                                PlatformGeometry, build_q, conic_check, make_circle_base)
 
 # radii at which a circle base once broke the conic check: det Q overflowed
 # (1e60), the rank test's column norms did and it read rank 3 (1e150), or
-# lu_factor raised a bare ValueError (1e200)
-FAR_RADII = [1e60, 1e150, 1e200]
+# lu_factor raised a bare ValueError (1e200); at the small end dot
+# overflowed (1e-80), or the rank read 3 (1e-100) or 1 (1e-200)
+OUT_OF_BOUNDS_RADII = [1e60, 1e150, 1e200, 1e-80, 1e-100, 1e-200]
 
 
 def far_circle(radius):
@@ -58,8 +59,8 @@ def test_circle_base_and_geometry_agree_on_vertex_separation(start, ratio, dupli
             build(angles)
 
 
-@pytest.mark.parametrize("radius", FAR_RADII)
-def test_bases_beyond_max_coordinate_are_refused(radius):
+@pytest.mark.parametrize("radius", OUT_OF_BOUNDS_RADII)
+def test_bases_outside_the_coordinate_bounds_are_refused(radius):
     with pytest.raises(ValidationError, match="base coordinates must be at most"):
         PlatformGeometry(base=far_circle(radius), mu=0.5)
     with pytest.raises(ValidationError, match="base coordinates must be at most"):
@@ -73,6 +74,18 @@ def test_a_base_at_max_coordinate_still_answers():
     assert report.rank == 5 and np.isfinite(report.det_q)
     assert conic_check(base * [1.0, 0.5]).rank == 5  # an ellipse
     PlatformGeometry(base=base, mu=0.5)
+
+
+def test_a_base_at_min_coordinate_still_answers():
+    base = far_circle(1.0)
+    base *= MIN_COORDINATE / np.abs(base).max()
+    assert np.abs(base).max() == MIN_COORDINATE
+    assert conic_check(base).rank == 5
+    generic = perturbed_hexagon_base()
+    generic *= MIN_COORDINATE / np.abs(generic).max()
+    report = conic_check(generic)
+    # det Q ~ r^8 is still a normal float at this reach
+    assert report.rank == 6 and abs(report.det_q) >= np.finfo(float).tiny
 
 
 def test_build_q_first_vertex_row():

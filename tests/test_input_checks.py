@@ -12,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import HEX_ANGLES, hexagon_base, perturbed_hexagon_base, random_rotation
+from helpers import (HEX_ANGLES, circle_through_origin_geometry, circle_through_origin_system,
+                     hexagon_base, perturbed_hexagon_base, random_rotation)
 from stewart66.errors import KinematicsError, NotUnit, ValidationError
 from stewart66.fk_nonsingular import fk_solve
-from stewart66.fk_singular import build_singular_system, feasible_interval, sweep, w_at, w_at_arc
+from stewart66.fk_singular import build_singular_system, feasible_interval, sweep, w_at
 from stewart66.geometry import PlatformGeometry, conic_check, make_circle_base
 from stewart66.ik import Pose, check_lengths, leg_lengths
 from stewart66.rotation import Quaternion
@@ -47,6 +48,10 @@ def resting_system():
     return build_singular_system(PlatformGeometry(base=hexagon_base(), mu=0.5), RESTING_LENGTHS)
 
 
+def arc_system():
+    return circle_through_origin_system(circle_through_origin_geometry())
+
+
 def hexagon_with_top(a):
     return PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)
 
@@ -68,7 +73,7 @@ ENTRY_POINTS = {
     "Quaternion": (lambda v: Quaternion(0.0, 0.0, v, 0.0), 1.0),
     "check_lengths": (check_lengths, RESTING_LENGTHS.tolist()),
     "w_at": (lambda v: w_at(resting_system(), v), [0.5, 0.75]),
-    "w_at_arc": (lambda v: w_at_arc(resting_system(), v), [-0.25, 0.25]),
+    "w_at.arc_length": (lambda v: w_at(arc_system(), v), [-0.25, 0.25]),
     "sweep.samples": (family_sweep, 11),
 }
 
@@ -159,7 +164,7 @@ def test_int_lists_read_as_their_float64_values():
     assert same(check_lengths(whole.tolist()), whole.astype(float))
     system = resting_system()
     assert same(w_at(system, [0, 1]), w_at(system, np.array([0.0, 1.0])))
-    assert same(w_at_arc(system, 1), w_at_arc(system, 1.0))
+    assert same(w_at(arc_system(), [-1, 1]), w_at(arc_system(), np.array([-1.0, 1.0])))
 
 
 def test_float32_arrays_read_as_their_float64_values():
