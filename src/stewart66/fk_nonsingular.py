@@ -55,9 +55,6 @@ EPS = np.finfo(float).eps
 # Sphere branch b is r0 + BRANCHES[b] * step: the + point, then the - point;
 # shaped to stand before the (slot, row) axes.
 BRANCHES = np.array([1.0, -1.0])[:, None, None]
-# Slot pairs LATER[p] > EARLIER[p]; DROPS[k, p] marks the slot k an equal pair drops
-LATER, EARLIER = np.nonzero(np.tri(4, k=-1, dtype=bool))
-DROPS = LATER == np.arange(4)[:, None]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -208,9 +205,10 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     gamma -/+ alpha.  Sign flips over (q1, q2) jointly and over q3
     enumerate the rest.  A row fits when no square is below -CLAMP_TOL:
     the four squares add up to 1 by construction, so the clamped ones then
-    do to within 4 * CLAMP_TOL.  A slot is dropped when it equals an
-    earlier slot: a snapped component is exactly 0 or above sqrt(8*EPS)
-    ~ 4e-8, so two slots are identical or at least 8e-8 apart.
+    do to within 4 * CLAMP_TOL.  A slot is dropped when it repeats an
+    earlier one: where the components it negates are 0, and at q0 = 0 where
+    slots 3 and 2 are -slot 0 and -slot 1.  Snapped components are 0 or
+    above sqrt(8*EPS) ~ 4e-8, so distinct slots are at least 8e-8 apart.
     """
     w = np.asarray(w, dtype=float)
     w4, w5, w6 = w[:, 3], w[:, 4], w[:, 5]
@@ -239,9 +237,10 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     quaternions = base[:, None, :] * SIGNS  # (component, slot, row)
     quaternions += 0.0
     quaternions = canonicalize(quaternions)
-    # np.take, not fancy indexing: it gathers the pairs faster
-    same = (quaternions.take(LATER, axis=1) == quaternions.take(EARLIER, axis=1)).all(axis=0)
-    kept = fits & ~(DROPS @ same)
+    # slot 1 negates q3, slot 2 (q1, q2) and slot 3 all three.  big is
+    # (q1, q2) != 0 still: the larger of the two kept its root
+    turn, lead = q3 != 0.0, q0 != 0.0
+    kept = np.array([fits, turn & (big | lead), big & lead, turn & big & lead]) & fits
     return RotationCandidates(quaternions.T, kept.T, fits, squares.T)
 
 
@@ -284,7 +283,7 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     negated, so its pose is slot s's mirrored through the base plane, with
     the same leg lengths: its points are slot s's at (x, y, -z) with the
     + and - points swapped, and its residuals and verdicts swap with them.
-    A slot-0-1 point is audited when its slot or the mirror slot is kept.
+    A slot-0-1 point is audited when its slot is kept: a kept mirror implies it.
     ValidationError when some |w_i| exceeds MAX_W or is NaN.
     """
     w = np.asarray(w, dtype=float)
@@ -307,7 +306,7 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     # every slot-0-1 (slot, row) with a sphere point at once; legs are
     # (3, 6, 2, M).  np.take, not fancy indexing: its result keeps the
     # gathered axis last in memory too, so the legs stay components first
-    audit = np.flatnonzero((kept[:2] | kept[2:]) & hit[0])
+    audit = np.flatnonzero(kept[:2] & hit[0])
     legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
                        points.reshape(3, 2, -1).take(audit, axis=2))
     legs *= legs

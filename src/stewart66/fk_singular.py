@@ -35,6 +35,12 @@ SCAN_POINTS = 1000
 BISECT_TOL = 1e-9
 # Equal cells a bracket is split into per batched evaluation: 31 points.
 _CELLS = 32
+# Largest sample count sweep takes.  numpy refuses an array of 2^63 bytes
+# or more, and sweep's largest holds 72 floats (576 bytes) a sample: the
+# audit's legs, 3 components x 6 legs x 2 branches for each of up to 2
+# audited slots.  2^53 samples keep it below 2^62.2 bytes; memory runs out
+# long before.
+MAX_SAMPLES = 2 ** 53
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,18 +168,21 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     """Evaluate the family on a uniform parameter grid.
 
     Infeasible samples are recorded, not fatal.  Grid values are the
-    family parameter that w_at takes.  ValidationError when a grid value
-    or its w passes fk_nonsingular.MAX_W.
+    family parameter that w_at takes.  ValidationError unless samples is
+    an integer from 2 to MAX_SAMPLES, and when a grid value or its w
+    passes fk_nonsingular.MAX_W.
     """
     w1_min, w1_max = _real(w1_min, "w1_min"), _real(w1_max, "w1_max")
     try:
         count = operator.index(None if isinstance(samples, bool) else samples)  # True is no count
     except TypeError:
         raise ValidationError(f"sample count must be an integer, got {samples!r}") from None
-    if count < 2:
-        raise ValidationError(f"need at least 2 samples, got {samples}")
+    if not 2 <= count <= MAX_SAMPLES:
+        bound = "at least 2" if count < 2 else f"at most {MAX_SAMPLES}"
+        raise ValidationError(f"need {bound} samples, got {samples}")
     if not w1_max > w1_min:
         raise ValidationError("w1_max must exceed w1_min")
+    w_at(system, [w1_min, w1_max])  # the ends' rule, before linspace overflows past it
     grid = np.linspace(w1_min, w1_max, count)
     w = w_at(system, grid)
     batch = solution_arrays(geom, w, system.lengths)
@@ -231,6 +240,7 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     if not w1_hint_max > 0.0:
         raise ValidationError(f"w1_hint_max must be positive, got {w1_hint_max!r}")
     low = 0.0 if system.parameterizable_by_w1 else -w1_hint_max
+    w_at(system, [low, w1_hint_max])  # the ends' rule, before linspace overflows past it
     grid = np.linspace(low, w1_hint_max, SCAN_POINTS)
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
     # first and last feasible scan index of each run, one run a row

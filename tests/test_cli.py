@@ -242,6 +242,16 @@ def test_sweep_rejects_infinite_bound(hex_geom, resting_legs, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [10 ** 20, 2 ** 62])
+def test_sweep_refuses_a_count_no_array_can_hold(count, hex_geom, resting_legs, tmp_path, capsys):
+    # np.linspace raised a bare ValueError here: exit 1 with a traceback
+    code = main(["sweep", "--geom", hex_geom, "--legs", resting_legs,
+                 "--w1-min", "0", "--w1-max", "1", "--samples", str(count),
+                 "--out", str(tmp_path / "na.csv")])
+    assert code == 2
+    assert f"need at most 9007199254740992 samples, got {count}" in capsys.readouterr().err
+
+
 def test_sweep_inconsistent_lengths_exit_3(hex_geom, tmp_path, capsys):
     legs = write(tmp_path / "bad.json", {"L": [10.0, 0.5, 0.5, 0.5, 0.5, 0.5]})
     code = main(["sweep", "--geom", hex_geom, "--legs", legs,

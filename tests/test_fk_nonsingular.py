@@ -521,9 +521,10 @@ def test_random_w_vectors_never_yield_bad_candidates(rng):
 def assert_candidate_invariants(w, mu):
     """The facts rotation_candidates rests on, for every row of w: a row
     that passes the clamp test fits, and its clamped squares add up to 1;
-    any two slots are equal or at least 8e-8 apart; and a half turn
-    (q0 = 0) keeps slots 0 and 1 only, as slot 2 is slot 1 and slot 3 is
-    slot 0."""
+    any two slots are equal or at least 8e-8 apart; a slot is kept exactly
+    when its row fits and it differs from every earlier slot, so a kept
+    slot 2-3 has its slot 0-1 kept; and a half turn (q0 = 0) keeps slots
+    0 and 1 only, as slot 2 is slot 1 and slot 3 is slot 0."""
     c = rotation_candidates(w, mu)
     clamp = (c.squares >= -CLAMP_TOL).all(axis=1)
     assert (c.fits == clamp).all()
@@ -533,6 +534,9 @@ def assert_candidate_invariants(w, mu):
     d = q[:, :, None] - q[:, None]
     equal = (q[:, :, None] == q[:, None]).all(axis=-1)
     assert np.all(equal | (np.sqrt((d * d).sum(axis=-1)) >= 8e-8))
+    repeats = (equal & np.tri(4, k=-1, dtype=bool)).any(axis=2)  # [row, later, earlier]
+    assert (c.kept == (c.fits[:, None] & ~repeats)).all()
+    assert not (c.kept[:, 2:] & ~c.kept[:, :2]).any()
     assert not c.kept[q[:, 0, 0] == 0.0, 2:].any()
     return c
 
@@ -673,23 +677,27 @@ def test_fk_solve_refuses_lengths_that_solve_beyond_max_w(perturbed_geometry):
         fk_solve(perturbed_geometry, lengths)
 
 
-@pytest.mark.parametrize("family, beyond", [("hexagon", 1e200), ("near_origin", 1e305)])
+@pytest.mark.parametrize("family, beyond", [("hexagon", 1e200), ("near_origin", 1e305),
+                                            ("origin", 1e308)])
 @pytest.mark.parametrize("entry", ["w_at", "sweep", "feasible_interval"])
 def test_family_solvers_refuse_w_beyond_max_w(entry, family, beyond, hexagon_geometry):
     # before the bound, w1 = 1e200 overflowed the recovery, and on the near
-    # origin family (n1 = -8.2e-7) (1e305 - p1) / n1 overflowed w_at itself
+    # origin family (n1 = -8.2e-7) (1e305 - p1) / n1 overflowed w_at itself;
+    # before the ends were checked, np.linspace overflowed in 1e308 - -1e308
+    # (the sweep, and the [-hint, hint] scan of the arc-length origin family)
     if family == "hexagon":
         geom = hexagon_geometry
         system = build_singular_system(geom, np.full(6, math.sqrt(1.25)))
     else:
-        geom = circle_through_origin_geometry(gap=1e-6)
+        geom = circle_through_origin_geometry(gap=1e-6 if family == "near_origin" else 0.0)
         system = circle_through_origin_system(geom)
-        assert system.parameterizable_by_w1 and abs(system.null_dir[0]) < 1e-6
+        assert system.parameterizable_by_w1 == (family == "near_origin")
+        assert abs(system.null_dir[0]) < 1e-6
     with pytest.raises(ValidationError, match="w must be at most"):
         if entry == "w_at":
             w_at(system, beyond)
         elif entry == "sweep":
-            sweep(system, geom, 0.0, beyond, 11)
+            sweep(system, geom, -beyond, beyond, 3)
         else:
             feasible_interval(system, geom, beyond)
 

@@ -12,8 +12,8 @@ from stewart66 import fk_singular
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible, ValidationError,
                               WrongRank)
 from stewart66.fk_nonsingular import solution_arrays
-from stewart66.fk_singular import (BISECT_TOL, build_singular_system, feasible_interval,
-                                   recover_poses, sweep, w_at)
+from stewart66.fk_singular import (BISECT_TOL, MAX_SAMPLES, build_singular_system,
+                                   feasible_interval, recover_poses, sweep, w_at)
 from stewart66.geometry import PlatformGeometry, build_q
 from stewart66.ik import Pose, leg_lengths, w_from_pose
 from stewart66.rotation import Quaternion
@@ -201,6 +201,10 @@ def test_sweep_validates_grid(hexagon_geometry, resting_system):
         sweep(resting_system, hexagon_geometry, 0.0, math.inf, 10)
     with pytest.raises(ValidationError):
         sweep(resting_system, hexagon_geometry, 0.0, 1.0, 2.5)
+    # np.linspace raised a bare ValueError at these counts, which no array can hold
+    for count in (10 ** 20, 2 ** 62):
+        with pytest.raises(ValidationError, match=f"need at most {MAX_SAMPLES} samples"):
+            sweep(resting_system, hexagon_geometry, 0.0, 1.0, count)
 
 
 @pytest.mark.parametrize("bounds", [(None, 1.0), (0.0, None), ("0", 1.0), (0.0, "1"),
