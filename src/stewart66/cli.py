@@ -1,7 +1,8 @@
 """Command-line front end: JSON geometry/pose/lengths in, JSON/CSV out.
 
 Exit codes: 0 success, 2 input/validation error (an unwritable --out
-included), 3 solver infeasibility.  Every input value must be a JSON
+included, and an input too large for the machine's memory), 3 solver
+infeasibility.  Every input value must be a JSON
 number (or a list of them); strings and booleans are refused.
 Floats are serialized with the shortest round-tripping representation so
 identical inputs always produce byte-identical output, except for the wall
@@ -206,13 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(action, *args) -> int:
     """Exit code of action(*args): 0 when it returns, 2 when it raises a
-    ValidationError and 3 on any other KinematicsError, whose message then
-    goes to stderr as "error: ..."."""
+    ValidationError or MemoryError and 3 on any other KinematicsError, whose
+    message then goes to stderr as "error: ..."."""
     try:
         action(*args)
     except KinematicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 3
+    except MemoryError as exc:
+        # numpy refuses an array this machine cannot hold, such as a sweep grid
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     return 0
 
 

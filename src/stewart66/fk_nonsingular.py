@@ -19,7 +19,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -49,6 +49,10 @@ MAX_W = 2.0 ** 340
 # jointly, q3 on its own.
 SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                   [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
+# Negates the first of two rows.
+MINUS_PLUS = np.array([-1.0, 1.0])[:, None]
+# The quaternion of a half turn about z, as one column.
+HALF_TURN = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
 # Names of the squared components in the order they are checked.
 SQUARE_NAMES = ((1, "q1^2"), (2, "q2^2"), (3, "q3^2"), (0, "q0^2"))
 EPS = np.finfo(float).eps
@@ -192,8 +196,11 @@ def _fill(cls, *columns) -> list:
 
 def _cross(a, b) -> np.ndarray:
     # a x b, components first: each component is one block of the batch
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    (a0, a1, a2), (b0, b1, b2), c = a, b, np.empty(np.shape(a))
+    np.subtract(a1 * b2, a2 * b1, out=c[0])
+    np.subtract(a2 * b0, a0 * b2, out=c[1])
+    np.subtract(a0 * b1, a1 * b0, out=c[2])
+    return c
 
 
 def rotation_candidates(w, mu: float) -> RotationCandidates:
@@ -210,8 +217,7 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     slots 3 and 2 are -slot 0 and -slot 1.  Snapped components are 0 or
     above sqrt(8*EPS) ~ 4e-8, so distinct slots are at least 8e-8 apart.
     """
-    w = np.asarray(w, dtype=float)
-    w4, w5, w6 = w[:, 3], w[:, 4], w[:, 5]
+    w4, w5, w6 = np.asarray(w, dtype=float).T[3:]
     alpha = (w4 - w6) / (4.0 * mu)
     beta = -w5 / (8.0 * mu)
     gamma = np.hypot(alpha, 2.0 * beta)
@@ -220,21 +226,26 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     # shrink with gamma (gamma itself is noise at the degenerate point)
     scale = 1.0 + (np.abs(w4) + np.abs(w5) + np.abs(w6)) / (4.0 * mu) + gamma
     half = w4 / (4.0 * mu)
-    squares = np.array([0.5 - half + (alpha - gamma) / 2.0, (gamma - alpha) / 2.0,
-                        (gamma + alpha) / 2.0, 0.5 + half - (alpha + gamma) / 2.0])
+    # q1^2, q2^2 = (gamma -/+ alpha) / 2, then q0^2, q3^2 = 0.5 -/+ half
+    # less them: x - y is x + (-y) exactly, so MINUS_PLUS forms a pair at once
+    squares = np.empty((4,) + alpha.shape)
+    np.divide(gamma + alpha * MINUS_PLUS, 2.0, out=squares[1:3])
+    np.subtract(0.5 + half * MINUS_PLUS, squares[1:3], out=squares[::3])
     # values within a few machine epsilons of zero (relative to the terms
     # that formed them) are noise either way; snapping them to zero matters
     # because the square root would amplify 1e-16 noise into 1e-8 components
-    q0, q1, q2, q3 = np.sqrt(np.where(squares > 8.0 * EPS * scale, squares, 0.0))
+    q = np.sqrt(np.where(squares > 8.0 * EPS * scale, squares, 0.0))
+    q0, q1, q2, q3 = q
     fits = (squares >= -CLAMP_TOL).all(axis=0)
     big = np.maximum(q1, q2) > 0.0
-    q1, q2 = (np.divide(np.abs(beta), q2, out=q1.copy(), where=big & (q1 <= q2)),
-              np.divide(np.abs(beta), q1, out=q2.copy(), where=big & (q1 > q2)))
-    q1 = np.where(beta < 0.0, -q1, q1)
+    # the two masks are disjoint, so neither division reads what the other wrote
+    first, second = big & (q1 <= q2), big & (q1 > q2)
+    np.divide(np.abs(beta), q2, out=q1, where=first)
+    np.divide(np.abs(beta), q1, out=q2, where=second)
+    np.negative(q1, out=q1, where=beta < 0.0)
     # rows no rotation fits carry a half turn about z, so the stages after
     # stay finite: its position planes meet in a line for every mu
-    base = np.where(fits, np.array([q0, q1, q2, q3]), [[0.0], [0.0], [0.0], [1.0]])
-    quaternions = base[:, None, :] * SIGNS  # (component, slot, row)
+    quaternions = np.where(fits, q, HALF_TURN)[:, None, :] * SIGNS  # (component, slot, row)
     quaternions += 0.0
     quaternions = canonicalize(quaternions)
     # slot 1 negates q3, slot 2 (q1, q2) and slot 3 all three.  big is
@@ -259,9 +270,11 @@ def sphere_points(w, m):
     w1, w2, w3 = np.asarray(w, dtype=float).T[:3]
     u, v = 2.0 * m
     n = _cross(u, v)
-    nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-    r0 = _cross(w2 * v - w3 * u, n) / nn
-    chord2 = w1 - (r0[0] * r0[0] + r0[1] * r0[1] + r0[2] * r0[2])
+    # add.reduce over the leading component axis adds the squares left to right
+    nn = np.add.reduce(n * n, axis=0)
+    r0 = _cross(w2 * v - w3 * u, n)
+    r0 /= nn
+    chord2 = w1 - np.add.reduce(r0 * r0, axis=0)
     tangent = chord2 <= TANGENT_EPS
     step = n * (np.sqrt(np.where(tangent, 0.0, chord2)) / np.sqrt(nn))
     points = r0[:, None] + step[:, None] * BRANCHES
@@ -284,10 +297,11 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     the same leg lengths: its points are slot s's at (x, y, -z) with the
     + and - points swapped, and its residuals and verdicts swap with them.
     A slot-0-1 point is audited when its slot is kept: a kept mirror implies it.
-    ValidationError when some |w_i| exceeds MAX_W or is NaN.
+    ValidationError when some |w_i| exceeds MAX_W or is NaN; no rows give
+    fields of no rows.
     """
     w = np.asarray(w, dtype=float)
-    if not np.abs(w).max() <= MAX_W:
+    if not np.abs(w).max(initial=0.0) <= MAX_W:
         raise ValidationError(f"w must be at most {MAX_W:.4g} in magnitude")
     lengths = np.asarray(lengths, dtype=float)
     rotations = rotation_candidates(w, geom.mu)
@@ -297,7 +311,7 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     if plate is not None:
         orientations = canonicalize((plate.T @ q.reshape(4, -1)).reshape(q.shape))
     # one plane map per slot-0-1 candidate, from columns 0 and 1 of R(q_RA) = R @ A
-    m = plane_map(geom, list(islice(columns(*q[:, :2]), 2)))
+    m = plane_map(geom, columns(q[:, :2], 2))
     points, signs, hit = sphere_points(w, m)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     kept = rotations.kept.T

@@ -35,6 +35,9 @@ MAX_COORDINATE = 2.0 ** 126
 # MIN_VERTEX_SEPARATION.
 MIN_COORDINATE = 2.0 ** -126
 _FIRST, _SECOND = np.triu_indices(6, 1)  # the 15 vertex pairs, first < second, row-major
+# build_q's columns: ones, then x*x, x*y, y*y as base columns _LEFT times _RIGHT
+_ONES = np.ones((6, 1))
+_LEFT, _RIGHT = np.array([0, 0, 1]), np.array([0, 1, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +71,15 @@ class PlatformGeometry:
             a0, a1, a2, a3 = from_matrix(a)
             plate = np.array([[a0, -a1, -a2, -a3], [a1, a0, a3, -a2],
                               [a2, -a3, a0, a1], [a3, a2, -a1, a0]])
+        # the shift (1 + mu^2) * |B_i|^2 of the length system (ik.d_from_lengths)
+        shift = (1.0 + mu ** 2) * (base ** 2).sum(axis=1)
         # read-only, so that nothing derived from them here can go stale
-        base.flags.writeable = a.flags.writeable = False
+        base.flags.writeable = a.flags.writeable = shift.flags.writeable = False
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "top_transform", a)
         object.__setattr__(self, "_ra_to_plate", plate)
+        object.__setattr__(self, "_length_shift", shift)
 
     def __reduce__(self):
         # copies and unpickled geometries go through __post_init__ too, so
@@ -121,8 +127,7 @@ def make_circle_base(angles) -> np.ndarray:
 
 def build_q(base) -> np.ndarray:
     """Row i is (1, x_i, y_i, x_i^2, x_i*y_i, y_i^2), for a checked (6, 2) float base."""
-    x, y = base[:, 0], base[:, 1]
-    return np.column_stack([np.ones(6), x, y, x * x, x * y, y * y])
+    return np.concatenate((_ONES, base, base.take(_LEFT, axis=1) * base.take(_RIGHT, axis=1)), axis=1)
 
 
 def conic_check(base) -> ConicReport:

@@ -40,11 +40,10 @@ class Pose:
 
 def plane_map(geom: PlatformGeometry, columns) -> np.ndarray:
     """Columns 0 and 1 of mu*R*A - I as two column vectors (2, 3, ...), for
-    columns 0 and 1 of the combined rotations R*A (2, 3, ...).  They are all
-    of the map a planar base point meets, and twice them are the normals of
-    the position planes of w2 and w3."""
-    m = np.array(columns, dtype=float)
-    m *= geom.mu
+    columns 0 and 1 of the combined rotations R*A (2, 3, ...)
+    (rotation.columns).  They are all of the map a planar base point meets,
+    and twice them are the normals of the position planes of w2 and w3."""
+    m = np.multiply(columns, geom.mu)
     m[0, 0] -= 1.0
     m[1, 1] -= 1.0
     return m
@@ -92,9 +91,8 @@ def w_from_pose(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
 
 def d_from_lengths(geom: PlatformGeometry, lengths) -> np.ndarray:
     """Right-hand side of the length system: L_i^2 - (1 + mu^2)*|B_i|^2, for
-    checked float lengths (check_lengths)."""
-    r2 = (geom.base ** 2).sum(axis=1)
-    return lengths * lengths - (1.0 + geom.mu ** 2) * r2
+    checked float lengths (check_lengths).  The geometry holds the shift."""
+    return lengths * lengths - geom._length_shift
 
 
 def check_lengths(lengths) -> np.ndarray:

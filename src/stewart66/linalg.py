@@ -50,9 +50,10 @@ def lu_factor(m) -> Factorization:
     a = np.array(m, dtype=float)
     if a.shape != (N, N):
         raise ValueError(f"expected a {N}x{N} matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    norms = np.linalg.norm(a, axis=0)
+    # the arithmetic of np.linalg.norm(a, axis=0), without its wrapper
+    norms = np.sqrt(np.add.reduce(a * a, axis=0))
     scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
     a *= scale
     u, s, vt = np.linalg.svd(a)

@@ -40,15 +40,27 @@ class Quaternion:
         return np.array([self.q0, self.q1, self.q2, self.q3])
 
 
-def columns(q0, q1, q2, q3):
-    """The columns of the rotation matrix of unit quaternion components, one
-    at a time: one formula for floats and for arrays of components, so a
-    caller that needs the first columns only evaluates no others."""
-    t0, t1, t2 = 2 * q0, 2 * q1, 2 * q2
-    d = t0 * q0 - 1
-    yield [d + t1 * q1, t1 * q2 + t0 * q3, t1 * q3 - t0 * q2]
-    yield [t1 * q2 - t0 * q3, d + t2 * q2, t0 * q1 + t2 * q3]
-    yield [t0 * q2 + t1 * q3, t2 * q3 - t0 * q1, d + 2 * q3 * q3]
+def columns(q, count: int) -> np.ndarray:
+    """Columns 0 and 1, or all three (count 2 or 3), of the rotation matrices
+    of unit quaternion components q (4, ...), as (count, 3, ...): the one
+    formula of R, for one quaternion and for arrays of them.  Each entry is
+    a sum or difference of doubled products p_kl = (2 q_k) q_l, k <= l."""
+    flat = np.asarray(q, dtype=float).reshape(4, -1)
+    t = 2.0 * flat[:count + 1]
+    p0 = t[0] * flat       # p00 p01 p02 p03
+    p1 = t[1] * flat[2:]   # p12 p13
+    p23 = t[2] * flat[3]
+    p0[0] -= 1.0           # p00 - 1, the diagonal's first term
+    r = np.empty((3 * count, flat.shape[1]))  # column j, row i at 3j + i
+    np.multiply(t[1:], flat[1:count + 1], out=r[::4])
+    np.add(p0[0], r[::4], out=r[::4])                           # R00 R11 [R22]
+    np.add(p1[0], p0[3], out=r[1])                              # R10
+    np.subtract(p1[::-1], p0[2:4], out=r[2:4])                  # R20 R01
+    np.add(p0[1], p23, out=r[5])                                # R21
+    if count == 3:
+        np.add(p0[2], p1[1], out=r[6])                          # R02
+        np.subtract(p23, p0[1], out=r[7])                       # R12
+    return r.reshape((count, 3) + np.shape(q)[1:])
 
 
 def to_matrix(q: Quaternion) -> np.ndarray:
@@ -57,7 +69,7 @@ def to_matrix(q: Quaternion) -> np.ndarray:
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
-    return np.array(list(zip(*columns(q0, q1, q2, q3))))
+    return columns([q0, q1, q2, q3], 3).T.copy()
 
 
 def canonicalize(q) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Shared generators for the test suite; all randomness is seeded by callers."""
 
-from itertools import islice
 
 import numpy as np
 
@@ -127,7 +126,7 @@ def leg_jacobian(geom, pose):
 def rotation_rows(q):
     """(R00, R01 + R10, R11) of unit quaternions q (N, 4): the entries
     that -2 * mu times gives (w4, w5, w6)."""
-    c0, c1 = islice(columns(*np.transpose(q)), 2)
+    c0, c1 = columns(np.transpose(q), 2)
     return np.column_stack([c0[0], c1[0] + c0[1], c1[1]])
 
 

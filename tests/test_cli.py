@@ -338,6 +338,26 @@ def test_every_kinematics_error_maps_to_its_exit_code(error, hex_geom, monkeypat
     assert capsys.readouterr() == ("", "error: stop here\n")
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type float64",
+     "Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type float64"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_an_input_too_large_for_memory_exits_2(message, shown, hex_geom, resting_legs, tmp_path,
+                                               monkeypatch, capsys):
+    # once: exit 1 with numpy's _ArrayMemoryError traceback for --samples 2^40;
+    # the error is raised here instead of asking numpy for the memory
+    def fail(*args):
+        raise MemoryError(message) if message else MemoryError
+    monkeypatch.setattr(cli, "sweep", fail)
+    out_csv = tmp_path / "curve.csv"
+    code = main(["sweep", "--geom", hex_geom, "--legs", resting_legs, "--w1-min", "0",
+                 "--w1-max", "1", "--samples", "1099511627776", "--out", str(out_csv)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+    assert not out_csv.exists()
+
+
 def test_check_repeated_runs_identical(hex_geom, capsys):
     main(["check", "--geom", hex_geom])
     first = capsys.readouterr().out

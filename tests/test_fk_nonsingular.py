@@ -2,7 +2,6 @@ import copy
 import gc
 import math
 import pickle
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -209,7 +208,7 @@ def test_audit_residuals_match_the_norm_of_each_pose_to_the_byte(rng):
     # every row's points are the poses of its own w; only row 0 fits the lengths
     target = leg_lengths(geom, poses[0])
     batch = solution_arrays(geom, np.array([w_from_pose(geom, p) for p in poses]), target)
-    maps = plane_map(geom, list(islice(columns(*batch.rotations.quaternions.T), 2)))
+    maps = plane_map(geom, columns(batch.rotations.quaternions.T, 2))
     audited = ~np.isnan(batch.residuals)
     assert batch.accepted.any() and (audited & ~batch.accepted).any()
     for row, slot, branch in zip(*np.nonzero(audited)):
@@ -401,7 +400,7 @@ def test_mirror_slots_of_a_point_on_the_base_plane_keep_z_at_positive_zero(top, 
         accepted = batch.accepted[0]
         assert (batch.positions[0][accepted] == 0.0).all()
         q = batch.rotations.quaternions.T
-        direct, _, _ = sphere_points(w, plane_map(geom, list(islice(columns(*q[:, 2:]), 2))))
+        direct, _, _ = sphere_points(w, plane_map(geom, columns(q[:, 2:], 2)))
         for s in np.flatnonzero(accepted[2:, 0]):
             assert batch.positions[0, s + 2, 0, 2].tobytes() == direct[2, 0, s, 0].tobytes()
             pairs += 1
@@ -444,6 +443,55 @@ def test_geometry_arrays_are_read_only(rng):
         with pytest.raises(ValueError):
             g.top_transform[:] = 2.0 * np.eye(3)
         assert np.array_equal(g._ra_to_plate, geom._ra_to_plate)
+        with pytest.raises(ValueError):
+            g._length_shift[0] = 0.0
+        assert g._length_shift.tobytes() == geom._length_shift.tobytes()
+
+
+def test_prepared_length_shift_is_the_formula_to_the_byte(rng):
+    for _ in range(50):
+        geom = PlatformGeometry(base=random_generic_base(rng) * 10.0 ** rng.uniform(-3, 4),
+                                mu=rng.uniform(0.05, 0.95))
+        r2 = (geom.base ** 2).sum(axis=1)
+        assert geom._length_shift.tobytes() == ((1.0 + geom.mu ** 2) * r2).tobytes()
+        lengths = rng.uniform(0.5, 2.0, 6)
+        expected = lengths * lengths - (1.0 + geom.mu ** 2) * r2
+        assert d_from_lengths(geom, lengths).tobytes() == expected.tobytes()
+
+
+def test_kernel_plane_maps_are_to_matrix_columns_to_the_byte(rng):
+    # R has one formula: the kernel's plane maps, from rotation.columns on
+    # (component, slot, row) arrays, against one to_matrix per quaternion
+    q = rng.normal(size=(10_000, 4))
+    zeroed = rng.random(len(q)) < 1 / 3
+    q[zeroed] *= rng.random((int(zeroed.sum()), 4)) < 0.5
+    q[~q.any(axis=1), 0] = 1.0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.37)
+    # the kernel's layout: slots 0-1 of 5000 rows
+    maps = plane_map(geom, columns(q.T.reshape(4, 2, -1), 2))
+    assert maps.shape == (2, 3, 2, 5000)
+    flat = maps.reshape(2, 3, -1)
+    for i, row in enumerate(q.tolist()):
+        expected = plane_map(geom, to_matrix(Quaternion(*row))[:, :2].T)
+        assert flat[:, :, i].tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
+def test_an_empty_batch_gives_empty_fields(top, rng):
+    # once: numpy's bare ValueError from the MAX_W check's max of no rows
+    a = None if top is None else random_rotation(rng)
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.5, top_transform=a)
+    batch = solution_arrays(geom, np.empty((0, 6)), np.full(6, 1.2))
+    shapes = {"quaternions": (0, 4, 4), "kept": (0, 4), "fits": (0,), "squares": (0, 4)}
+    for name, shape in shapes.items():
+        assert getattr(batch.rotations, name).shape == shape
+    shapes = {"orientations": (0, 4, 4), "positions": (0, 4, 2, 3), "signs": (0, 4, 2),
+              "residuals": (0, 4, 2), "accepted": (0, 4, 2), "feasible": (0,)}
+    for name, shape in shapes.items():
+        assert getattr(batch, name).shape == shape
+    assert batch.solutions() == []
 
 
 # the quarter turn about (1, 1, 0)/sqrt(2) and a fixed generic orientation

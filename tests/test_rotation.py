@@ -1,5 +1,4 @@
 import math
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -106,13 +105,41 @@ def test_array_forms_match_one_quaternion_at_a_time():
                    [0.3, -0.1, 0.9, 0.2], [0.1, 0.7, -0.2, 0.6]])
     qs = qs / np.linalg.norm(qs, axis=1, keepdims=True)
     # the kernel's form: columns 0 and 1, components first
-    cols = np.array(list(islice(columns(*qs.T), 2)))
+    cols = columns(qs.T, 2)
     assert cols.shape == (2, 3, 6)
     mats = [to_matrix(Quaternion(*q)) for q in qs]
     for c, m in zip(cols.transpose(2, 1, 0), mats):
         assert c.tobytes() == m[:, :2].tobytes()
     for q, m in zip(canonicalize(qs.T).T, mats):
         assert np.max(np.abs(from_matrix(m) - q)) <= 1e-15
+
+
+def expanded_matrix(q0, q1, q2, q3):
+    """R written out entry by entry, in the order its products and sums are formed."""
+    t0, t1, t2 = 2 * q0, 2 * q1, 2 * q2
+    d = t0 * q0 - 1
+    return [[d + t1 * q1, t1 * q2 - t0 * q3, t0 * q2 + t1 * q3],
+            [t1 * q2 + t0 * q3, d + t2 * q2, t2 * q3 - t0 * q1],
+            [t1 * q3 - t0 * q2, t0 * q1 + t2 * q3, d + 2 * q3 * q3]]
+
+
+def test_to_matrix_is_the_expanded_formula_to_the_byte():
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(3000, 4))
+    zeroed = rng.random(len(q)) < 1 / 3
+    q[zeroed] *= rng.random((int(zeroed.sum()), 4)) < 0.5
+    q[~q.any(axis=1), 0] = 1.0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    for row in q.tolist():
+        m = to_matrix(Quaternion(*row))
+        assert m.flags.c_contiguous
+        assert m.tobytes() == np.array(expanded_matrix(*row)).tobytes()
+    # arrays of quaternions, both counts of columns, a batch of two axes
+    for count in (2, 3):
+        cols = columns(q.T.reshape(4, 3, -1), count)
+        assert cols.shape == (count, 3, 3, 1000)
+        expected = np.array(expanded_matrix(*q.T)).transpose(1, 0, 2)[:count]
+        assert cols.tobytes() == expected.reshape(count, 3, 3, 1000).tobytes()
 
 
 @pytest.mark.parametrize("q", [(1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 1.0, 0), (0, 0, 0, 1.0)],
