@@ -6,7 +6,7 @@ hexagon vertex pushed outward), converts each to leg lengths, solves the
 forward problem back, and tallies how many of the up-to-eight candidate
 poses are actually realizable.  The seed pose counts as found when some
 solution matches both its orientation (up to the quaternion's sign) and
-its position within 1e-8; an empty or refused answer is a miss.
+its position within 1e-8; an empty answer counts as a miss.
 
 Exit codes, as for stewart66: 0 success, 2 invalid input, 3 another
 solver failure.
@@ -18,9 +18,8 @@ from collections import Counter
 
 import numpy as np
 
-from stewart66 import (DegenerateLeg, Infeasible, PlatformGeometry, Pose,
-                       Quaternion, ValidationError, fk_solve, leg_lengths,
-                       make_circle_base)
+from stewart66 import (DegenerateLeg, PlatformGeometry, Pose, Quaternion,
+                       ValidationError, fk_solve, leg_lengths, make_circle_base)
 from stewart66.cli import run
 
 # A returned pose this close to the seed pose, in max norm, is the seed pose.
@@ -65,10 +64,7 @@ def census(trials, seed, mu):
             lengths = leg_lengths(geom, pose)
         except DegenerateLeg:
             continue
-        try:
-            solutions = fk_solve(geom, lengths)
-        except Infeasible:
-            solutions = []
+        solutions = fk_solve(geom, lengths)
         counts[len(solutions)] += 1
         if min((pose_gap(s.pose, pose) for s in solutions), default=np.inf) > FOUND_TOL:
             misses += 1

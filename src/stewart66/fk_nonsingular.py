@@ -9,9 +9,9 @@ The route runs on arrays: solution_arrays takes N w vectors and works on
 (N rows x 4 rotation candidates x 2 sphere branches) at once, building no
 objects.  Base and top plate are planar, so candidate slots 2-3 are the
 mirror images of slots 0-1 through the base plane: only slots 0-1 go
-through the sphere stage and the audit.  fk_solve and solutions_from_w
-are a batch of one; the self-motion sweep and feasibility scan are one
-batch over their grid.
+through the sphere stage and the audit.  fk_solve and
+fk_singular.recover_poses are a batch of one; the self-motion sweep and
+feasibility scan are one batch over their grid.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, ValidationError
+from .errors import ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors, plane_map
 from .rotation import RENORM_TOL, Quaternion, canonicalize, columns
@@ -53,8 +53,6 @@ SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
 MINUS_PLUS = np.array([-1.0, 1.0])[:, None]
 # The quaternion of a half turn about z, as one column.
 HALF_TURN = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
-# Names of the squared components in the order they are checked.
-SQUARE_NAMES = ((1, "q1^2"), (2, "q2^2"), (3, "q3^2"), (0, "q0^2"))
 EPS = np.finfo(float).eps
 # Sphere branch b is r0 + BRANCHES[b] * step: the + point, then the - point;
 # shaped to stand before the (slot, row) axes.
@@ -82,15 +80,6 @@ class RotationCandidates:
     kept: np.ndarray         # (N, 4) bool
     fits: np.ndarray         # (N,) bool: some unit quaternion fits the row
     squares: np.ndarray      # (N, 4) q0^2..q3^2 as formed, before clamping
-
-    def failure(self, row: int) -> str:
-        """Why no rotation fits row `row`."""
-        for j, name in SQUARE_NAMES:
-            if self.squares[row, j] < -CLAMP_TOL:
-                return (f"{name} would be {self.squares[row, j]:.3g} < 0: "
-                        f"no rotation fits these lengths")
-        # only a non-finite square gets here
-        return "w fits no unit quaternion"
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,28 +330,18 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
                           np.concatenate([residuals, residuals[::-1]], axis=1).T, accepted.T)
 
 
-def solutions_from_w(geom: PlatformGeometry, w, lengths) -> list:
-    """Assemble audited poses for one w vector against known leg lengths.
-
-    Infeasible when no unit quaternion fits (w4, w5, w6); an empty list
-    when rotations exist but no position reproduces the lengths.
-    """
-    batch = solution_arrays(geom, np.asarray(w, dtype=float)[None, :], lengths)
-    if not batch.rotations.fits[0]:
-        raise Infeasible(batch.rotations.failure(0))
-    return batch.solutions()[0]
-
-
 def fk_solve(geom: PlatformGeometry, lengths) -> list:
     """All isolated poses reproducing the leg lengths; at most eight.
 
-    Ordered by (rotation candidate, sphere branch + before -).  Raises
+    Ordered by (rotation candidate, sphere branch + before -).  An empty
+    list when no pose reproduces the lengths: when the solved w fits no
+    rotation, or no position of a fitting one passes the audit; the
+    rotation stage's fits and squares (solution_arrays) tell which.  Raises
     ValidationError unless the lengths are six positive finite numbers that
-    solve to a w within MAX_W, SingularBase on a conic base, DegenerateBase
-    below rank 5, and Infeasible when that w admits no rotation at all; an
-    empty list means rotations exist but no position reproduces them.
+    solve to a w within MAX_W, SingularBase on a conic base and
+    DegenerateBase below rank 5.
     """
     lengths = check_lengths(lengths)
     f = factor_for_rank(build_q(geom.base), 6)
     w = linalg.solve(f, d_from_lengths(geom, lengths))
-    return solutions_from_w(geom, w, lengths)
+    return solution_arrays(geom, w[None], lengths).solutions()[0]

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, ValidationError, _float_array, _real
-from .fk_nonsingular import (MAX_W, SolutionArrays, _collector_paused, _fill, solution_arrays,
-                             solutions_from_w)
+from .fk_nonsingular import MAX_W, SolutionArrays, _collector_paused, _fill, solution_arrays
 from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
 
@@ -110,10 +109,12 @@ def w_at(system: SingularSystem, s) -> np.ndarray:
 
 def recover_poses(geom: PlatformGeometry, w, lengths) -> list:
     """Poses at one point of the family, audited against the leg lengths;
-    Infeasible when there are none, ValidationError unless w is six finite
+    Infeasible when there are none (w fits no rotation, or no position
+    passes the audit), ValidationError unless w is six finite
     numbers within fk_nonsingular.MAX_W and the lengths are as check_lengths
     takes them (strings and bools are not numbers)."""
-    solutions = solutions_from_w(geom, _float_array(w, "w", (6,)), check_lengths(lengths))
+    solutions = solution_arrays(geom, _float_array(w, "w", (6,))[None],
+                                check_lengths(lengths)).solutions()[0]
     if not solutions:
         raise Infeasible("no pose branch reproduces the leg lengths at this parameter")
     return solutions

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Inconsistent, WrongRank
+from .errors import Inconsistent
 
 N = 6
 
@@ -62,9 +62,7 @@ def lu_factor(m) -> Factorization:
 
 
 def null_vector(f: Factorization) -> np.ndarray:
-    """Unit kernel vector of a rank-5 matrix."""
-    if f.rank != 5:
-        raise WrongRank(f"null vector needs rank 5, matrix has rank {f.rank}")
+    """Unit kernel vector of f at rank 5; the caller checks the rank."""
     n = f.vt[5] * f.scale
     return n / np.linalg.norm(n)
 
@@ -72,12 +70,11 @@ def null_vector(f: Factorization) -> np.ndarray:
 def solve(f: Factorization, rhs, tol: float = 0.0) -> np.ndarray:
     """The solution at rank 6; at rank 5 the one of minimum norm in the scaled
     unknowns, or Inconsistent when rhs leaves the column space by more than
-    tol (see consistency_tol).  WrongRank below rank 5."""
+    tol (see consistency_tol).  f has rank 5 or 6; the caller checks it
+    (geometry.factor_for_rank)."""
     rhs = np.asarray(rhs, dtype=float)
     if f.rank == N:
         return np.linalg.solve(f.scaled, rhs) * f.scale
-    if f.rank != 5:
-        raise WrongRank(f"solve needs rank 5 or 6, matrix has rank {f.rank}")
     gap = abs(float(f.u[:, 5] @ rhs))
     if gap > tol:
         raise Inconsistent(f"lengths leave the column space by {gap:.3g} (tolerance {tol:.3g})")

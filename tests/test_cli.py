@@ -180,9 +180,14 @@ def test_sweep_factors_the_base_once(hex_geom, resting_legs, tmp_path, monkeypat
     assert json.loads(capsys.readouterr().out)["conic"]["rank"] == 5
 
 
-def test_fk_impossible_lengths_exit_3(perturbed_geom, tmp_path, capsys):
-    legs = write(tmp_path / "huge.json", {"L": [10.0] * 6})
+@pytest.mark.parametrize("lengths", [[10.0] * 6, [1.0] * 6, [1.3, 1.3, 0.9, 0.9, 1.1, 0.8]],
+                         ids=["huge", "no_rotation", "no_position"])
+def test_fk_impossible_lengths_exit_3(lengths, perturbed_geom, tmp_path, capsys):
+    # w fits no rotation for the first two; for the last it does, but no
+    # position passes the audit.  One message for either cause
+    legs = write(tmp_path / "legs.json", {"L": lengths})
     assert main(["fk", "--geom", perturbed_geom, "--legs", legs]) == 3
+    assert capsys.readouterr() == ("", "error: no pose reproduces the requested leg lengths\n")
 
 
 def test_fk_rejects_nonpositive_lengths(perturbed_geom, tmp_path, capsys):

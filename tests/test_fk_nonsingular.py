@@ -18,7 +18,7 @@ from stewart66.errors import (DegenerateBase, Infeasible, NotUnit, SingularBase,
                               ValidationError)
 from stewart66.fk_nonsingular import (CLAMP_TOL, MAX_W, RESIDUAL_TOL, FkSolution, SolutionArrays,
                                       fk_solve, rotation_candidates, solution_arrays,
-                                      solutions_from_w, sphere_points)
+                                      sphere_points)
 from stewart66.fk_singular import (SingularCurveSample, _steps, build_singular_system,
                                    feasible_interval, recover_poses, sweep, w_at)
 from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
@@ -31,10 +31,9 @@ ROOT_HALF = math.sqrt(0.5)
 
 
 def candidates(w, mu):
-    """Rotation stage on a batch of one: (arrays, the row's candidate list)."""
+    """Rotation stage on a batch of one that fits: (arrays, the row's candidate list)."""
     c = rotation_candidates(np.asarray(w, dtype=float)[None], mu)
-    if not c.fits[0]:
-        raise Infeasible(c.failure(0))
+    assert c.fits[0]
     return c, [Quaternion(*q) for q in c.quaternions[0, c.kept[0]]]
 
 
@@ -99,8 +98,9 @@ def test_out_of_range_rotation_block_is_infeasible(hexagon_geometry):
     w = np.array([1.0, 0, 0, -3.0, 0, 0.5])
     cands = rotation_candidates(w[None], 0.5)
     assert not cands.fits[0] and not cands.kept.any()
-    with pytest.raises(Infeasible, match=r"q3\^2 would be -1 < 0"):
-        solutions_from_w(hexagon_geometry, w, np.ones(6))
+    # the squares say why the row has no pose: q3^2 would be -1
+    assert cands.squares[0].tolist() == [0.25, 1.75, 0.0, -1.0]
+    assert solution_arrays(hexagon_geometry, w[None], np.ones(6)).solutions() == [[]]
 
 
 def test_candidates_reproduce_rotation_block(rng):
@@ -196,7 +196,7 @@ def test_audit_rejects_points_off_the_lengths(perturbed_geometry, rng):
     assert exact.accepted.any()
     assert np.array_equal(off.positions, exact.positions)
     assert not off.accepted.any()
-    assert solutions_from_w(perturbed_geometry, w[0], lengths * (1.0 + 1e-6)) == []
+    assert off.solutions() == [[]]
 
 
 def test_audit_residuals_match_the_norm_of_each_pose_to_the_byte(rng):
@@ -235,13 +235,24 @@ def test_audit_refuses_a_pose_whose_leg_collapses(leg, hexagon_geometry):
     assert not batch.accepted.any()
 
 
-def test_fk_impossible_lengths(perturbed_geometry):
-    # legs of 10 cannot reach: the platform diameter is bounded well below
-    try:
-        sols = fk_solve(perturbed_geometry, np.full(6, 10.0))
-    except Infeasible:
-        return
-    assert sols == []
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("top", [None, QUARTER_TURN], ids=["identity", "quarter_turn"])
+def test_fk_impossible_lengths(top, rng):
+    # no pose is an empty list, whatever the cause: legs of 10 cannot reach
+    # (the platform diameter is bounded well below), and with legs of 1 too
+    # w fits no rotation; the third w fits one, but no position passes the audit
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.5, top_transform=top)
+    f = factor_for_rank(build_q(geom.base), 6)
+    for lengths, fits in (([10.0] * 6, False), ([1.0] * 6, False),
+                          ([1.3, 1.3, 0.9, 0.9, 1.1, 0.8], True)):
+        w = linalg.solve(f, d_from_lengths(geom, np.array(lengths)))
+        assert rotation_candidates(w[None], geom.mu).fits[0] == fits
+        assert fk_solve(geom, lengths) == []
+    # most random lengths fit no rotation; none of them raises
+    answers = [fk_solve(geom, lengths) for lengths in rng.uniform(0.5, 2.0, (1000, 6))]
+    assert [] in answers and all(isinstance(a, list) for a in answers)
 
 
 def test_fk_round_trip_statistics(perturbed_geometry, rng):
@@ -546,17 +557,13 @@ def test_fk_no_spurious_solutions_for_inflated_lengths(perturbed_geometry, rng):
     for _ in range(50):
         pose = random_feasible_pose(perturbed_geometry, rng)
         lengths = leg_lengths(perturbed_geometry, pose) * rng.uniform(1.5, 4.0)
-        try:
-            sols = fk_solve(perturbed_geometry, lengths)
-        except Infeasible:
-            continue
         tol = 1e-8 * (1.0 + lengths.max())
-        for s in sols:
+        for s in fk_solve(perturbed_geometry, lengths):
             assert np.max(np.abs(leg_lengths(perturbed_geometry, s.pose) - lengths)) <= tol
 
 
 def test_random_w_vectors_never_yield_bad_candidates(rng):
-    # arbitrary rotation-block data either raises Infeasible or produces
+    # arbitrary rotation-block data either fits no rotation or produces
     # unit candidates; no silent garbage
     cands = rotation_candidates(rng.uniform(-2, 2, (200, 6)), 0.5)
     assert cands.fits.any() and not cands.fits.all()
@@ -621,16 +628,13 @@ def test_candidate_invariants_hold_for_zero_pattern_rows(mu, rng):
     assert assert_candidate_invariants(w, mu).fits.all()
 
 
-NO_UNIT = "w fits no unit quaternion"
-
-
-@pytest.mark.parametrize("block, message", [
-    ((math.nan, 0.0, 0.0), NO_UNIT),
-    ((0.0, math.inf, 0.0), "q3^2 would be -inf < 0: no rotation fits these lengths"),
-    ((-math.inf, 0.0, math.inf), NO_UNIT),
-    ((1e308, 0.0, -1e308), NO_UNIT),
+@pytest.mark.parametrize("block, negative", [
+    ((math.nan, 0.0, 0.0), []),
+    ((0.0, math.inf, 0.0), [0, 3]),
+    ((-math.inf, 0.0, math.inf), []),
+    ((1e308, 0.0, -1e308), []),
 ], ids=["nan", "inf", "infs", "overflow"])
-def test_non_finite_squares_fit_no_rotation(block, message):
+def test_non_finite_squares_fit_no_rotation(block, negative):
     w = np.zeros((1, 6))
     w[0, 3:] = block
     with np.errstate(all="ignore"):
@@ -638,7 +642,8 @@ def test_non_finite_squares_fit_no_rotation(block, message):
     assert not np.isfinite(cands.squares).all()
     assert not cands.fits[0] and not cands.kept.any()
     assert np.isfinite(cands.quaternions).all()
-    assert cands.failure(0) == message
+    # the squares keep the reason: the components gone negative, or a NaN
+    assert np.flatnonzero(cands.squares[0] < -CLAMP_TOL).tolist() == negative
 
 
 BAD_LENGTHS = {
@@ -707,14 +712,19 @@ def test_inputs_at_the_magnitude_bounds_still_answer(mu, rng):
     answers = fk_solve(perturbed, np.full(6, MAX_LENGTH))
     assert answers and all(s.leg_residual <= RESIDUAL_TOL * (1.0 + MAX_LENGTH) for s in answers)
     # lengths within MAX_LENGTH can solve to a w beyond MAX_W, which
-    # fk_solve refuses; the rest admit no rotation
+    # fk_solve refuses; the rest admit no rotation, so no pose
     f = factor_for_rank(build_q(perturbed.base), 6)
     refused = []
     for _ in range(20):
         lengths = MAX_LENGTH * rng.uniform(0.5, 1.0, 6)
-        refused.append(np.abs(linalg.solve(f, d_from_lengths(perturbed, lengths))).max() > MAX_W)
-        with pytest.raises(ValidationError if refused[-1] else Infeasible):
-            fk_solve(perturbed, lengths)
+        w = linalg.solve(f, d_from_lengths(perturbed, lengths))
+        refused.append(np.abs(w).max() > MAX_W)
+        if refused[-1]:
+            with pytest.raises(ValidationError):
+                fk_solve(perturbed, lengths)
+        else:
+            assert not rotation_candidates(w[None], mu).fits[0]
+            assert fk_solve(perturbed, lengths) == []
     assert any(refused) and not all(refused)
 
 

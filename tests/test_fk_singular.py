@@ -11,7 +11,7 @@ from helpers import (CIRCLE_COEFFS, circle_through_origin_geometry,
 from stewart66 import fk_singular
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible, ValidationError,
                               WrongRank)
-from stewart66.fk_nonsingular import solution_arrays
+from stewart66.fk_nonsingular import rotation_candidates, solution_arrays
 from stewart66.fk_singular import (BISECT_TOL, MAX_SAMPLES, build_singular_system,
                                    feasible_interval, recover_poses, sweep, w_at)
 from stewart66.geometry import PlatformGeometry, build_q
@@ -138,6 +138,17 @@ def test_recover_poses_halfway(hexagon_geometry):
         assert np.max(np.abs(recomputed - ROOT_125)) <= 1e-9
     assert {(s.pose.orientation.q3 > 0, s.position_sign) for s in sols} == \
         {(True, 1), (True, -1), (False, 1), (False, -1)}
+
+
+@pytest.mark.parametrize("w, fits", [
+    ([1.2, 0, 0, -1.2, 0, -1.2], False),  # past the family's end at w1 = 1
+    ([0.5, 0, 0, -1.0, 0, -1.0], True),   # the identity, its sphere points off the lengths
+], ids=["no_rotation", "no_position"])
+def test_recover_poses_raises_one_message_for_either_cause(w, fits, hexagon_geometry):
+    assert rotation_candidates(np.array([w]), hexagon_geometry.mu).fits[0] == fits
+    message = "^no pose branch reproduces the leg lengths at this parameter$"
+    with pytest.raises(Infeasible, match=message):
+        recover_poses(hexagon_geometry, w, np.full(6, ROOT_125))
 
 
 def test_recover_poses_at_zero(hexagon_geometry):
