@@ -6,22 +6,28 @@ differ between numpy 1.24 and 2.x, do not count, and neither do calls into
 C.  So the counts below hold on every supported numpy, and a contract
 fails when a change adds package calls per row or per candidate slot, or a
 second factorization, not when the host is slow.
+
+Two more counts do not depend on the host either: the SVDs numpy runs,
+through a counting wrapper, and the tracemalloc peak of a batch.
 """
 
 import math
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import hexagon_base, perturbed_hexagon_base, random_rotation
+from helpers import (hexagon_base, perturbed_hexagon_base, random_feasible_pose, random_rotation,
+                     seeded_conic_family)
 from stewart66 import fk_singular
 from stewart66.fk_nonsingular import fk_solve, solution_arrays
 from stewart66.fk_singular import (_CELLS, BISECT_TOL, SCAN_POINTS, build_singular_system,
                                    feasible_interval, recover_poses, sweep, w_at)
-from stewart66.geometry import PlatformGeometry
+from stewart66.geometry import PlatformGeometry, conic_check
 from stewart66.ik import Pose, leg_lengths
+from stewart66.linalg import lu_factor
 from stewart66.rotation import Quaternion
 
 
@@ -119,3 +125,87 @@ def test_recover_poses_recovers_once():
     calls = package_calls(recover_poses, geom, w_at(system, 0.5), system.lengths)
     assert calls["fk_singular.recover_poses"] == 1
     assert calls["fk_nonsingular.solution_arrays"] == 1
+
+
+def svd_calls(monkeypatch) -> list:
+    """A list that grows by one on each np.linalg.svd call from now on.  The
+    factorization memo is first left holding an unrelated matrix, so no
+    count depends on what an earlier test factored."""
+    lu_factor(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
+def test_fk_solve_on_one_device_factors_once(top, rng, monkeypatch):
+    a = None if top is None else random_rotation(rng)
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.5, top_transform=a)
+    legs = [leg_lengths(geom, random_feasible_pose(geom, rng)) for _ in range(50)]
+    calls = svd_calls(monkeypatch)
+    answers = [fk_solve(geom, lengths) for lengths in legs]
+    assert len(calls) == 1
+    assert all(answers)
+
+
+def test_conic_check_then_fk_solve_factor_once(perturbed_geometry, rng, monkeypatch):
+    lengths = leg_lengths(perturbed_geometry, random_feasible_pose(perturbed_geometry, rng))
+    calls = svd_calls(monkeypatch)
+    assert not conic_check(perturbed_geometry.base).on_conic
+    assert fk_solve(perturbed_geometry, lengths)
+    assert len(calls) == 1
+
+
+def test_alternating_devices_factor_on_every_call(rng, monkeypatch):
+    # the memo holds one entry: two bases taking turns never hit it
+    geoms = [PlatformGeometry(base=base, mu=0.5)
+             for base in (perturbed_hexagon_base(), perturbed_hexagon_base()[:, ::-1])]
+    legs = [leg_lengths(geom, random_feasible_pose(geom, rng)) for geom in geoms]
+    calls = svd_calls(monkeypatch)
+    for k in range(10):
+        fk_solve(geoms[k % 2], legs[k % 2])
+    assert len(calls) == 10
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of fn(*args) in bytes, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def circle_family():
+    """The seed-1 circle family: eight poses a sample on its first interval."""
+    geom, lengths = seeded_conic_family("circle", 1)
+    system = build_singular_system(geom, lengths)
+    return geom, system, feasible_interval(system, geom, 5.0)[0]
+
+
+# Bytes a sample: measured 2.45 kB (four poses a sample) and 4.19 kB (eight)
+# for sweep, 1.6 kB a row for the kernel, with numpy 2.4.  The bounds leave
+# 14-18% for other numpy versions, less than the ~0.8 kB a sample that a
+# kept copy of each sample's orientation, position and residual rows costs.
+PEAK_BUDGETS = {"hexagon": 2900, "circle": 4800, "kernel": 1900}
+
+
+@pytest.mark.parametrize("family", ["hexagon", "circle"])
+def test_sweep_traced_peak_per_sample_is_bounded(family):
+    if family == "hexagon":
+        geom, system = hexagon_family()
+        lo, hi = 0.0, 1.0
+    else:
+        geom, system, (lo, hi) = circle_family()
+    per_sample = [traced_peak(sweep, system, geom, lo, hi, n) / n for n in (1001, 10_001)]
+    assert max(per_sample) <= PEAK_BUDGETS[family]
+    assert per_sample[1] <= 1.05 * per_sample[0]
+
+
+def test_kernel_traced_peak_per_row_is_bounded():
+    geom, system = hexagon_family()
+    per_row = [traced_peak(solution_arrays, geom, w_at(system, np.linspace(0.0, 1.0, n)),
+                           system.lengths) / n for n in (1001, 10_001)]
+    assert max(per_row) <= PEAK_BUDGETS["kernel"]
+    assert per_row[1] <= 1.05 * per_row[0]

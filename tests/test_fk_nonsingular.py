@@ -2,6 +2,8 @@ import copy
 import gc
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -253,6 +255,47 @@ def test_fk_impossible_lengths(top, rng):
     # most random lengths fit no rotation; none of them raises
     answers = [fk_solve(geom, lengths) for lengths in rng.uniform(0.5, 2.0, (1000, 6))]
     assert [] in answers and all(isinstance(a, list) for a in answers)
+
+
+def answer_bytes(solutions) -> list:
+    return [(s.rotation_index, s.position_sign, s.leg_residual,
+             s.pose.orientation.as_array().tobytes(), s.pose.position.tobytes()) for s in solutions]
+
+
+def test_two_threads_answer_as_one(rng):
+    # the base turns a quarter with the top: a turned top alone leaves the
+    # conic matrix, and so the factorization lu_factor keeps, unchanged.
+    # Alternating devices replace it on every call, so a thread that read
+    # one device's key with the other's factorization would answer wrongly
+    geoms = [PlatformGeometry(base=perturbed_hexagon_base(), mu=0.5),
+             PlatformGeometry(base=perturbed_hexagon_base() @ QUARTER_TURN[:2, :2].T, mu=0.5,
+                              top_transform=QUARTER_TURN)]
+    legs = [leg_lengths(geom, random_feasible_pose(geom, rng)) for geom in geoms]
+
+    def run():
+        return [answer_bytes(fk_solve(geoms[k % 2], legs[k % 2])) for k in range(200)]
+
+    serial = run()
+    assert serial[0] != serial[1]
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = run()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial, serial]
 
 
 def test_fk_round_trip_statistics(perturbed_geometry, rng):

@@ -49,6 +49,40 @@ def test_rejects_non_finite_entries():
         lu_factor(m)
 
 
+def test_factorization_is_shared_and_read_only():
+    q = hexagon_q()
+    f = lu_factor(q)
+    assert lu_factor(q.copy()) is f
+    for x in (f.scaled, f.scale, f.u, f.s, f.vt):
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+
+
+def test_kept_factorization_follows_the_values_not_the_array():
+    q = build_q(random_generic_base(np.random.default_rng(7)))
+    original = q.copy()
+    f = lu_factor(q)
+    q[0, 1] += 0.5
+    assert lu_factor(original) is f
+    assert np.array_equal(f.scaled, original * f.scale)
+    g = lu_factor(q)
+    assert g is not f
+    assert np.array_equal(g.scaled, q * g.scale)
+
+
+@pytest.mark.parametrize("bad", ["non_finite", "shape"])
+def test_refused_matrix_is_never_kept(bad):
+    f = lu_factor(hexagon_q())
+    m = np.eye(6)
+    if bad == "non_finite":
+        m[2, 2] = np.nan
+    else:
+        m = m[:5]
+    with pytest.raises(ValueError):
+        lu_factor(m)
+    assert lu_factor(hexagon_q()) is f
+
+
 @given(matrices)
 def test_reconstruction(m):
     f = lu_factor(m)
