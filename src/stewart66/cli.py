@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 input/validation error (an unwritable --out
 included, and an input too large for the machine's memory), 3 solver
 infeasibility.  Every input value must be a JSON
-number (or a list of them); strings and booleans are refused.
+number (or a list of them), read through the package's own checks
+(errors._float_array, errors._real); strings and booleans are refused.
 Floats are serialized with the shortest round-tripping representation so
 identical inputs always produce byte-identical output, except for the wall
 time that `sweep` reports as elapsed_seconds.
@@ -18,7 +19,8 @@ import time
 
 import numpy as np
 
-from .errors import Infeasible, KinematicsError, SingularBase, ValidationError
+from .errors import (Infeasible, KinematicsError, SingularBase, ValidationError,
+                     _float_array, _real)
 from .fk_nonsingular import fk_solve
 from .fk_singular import build_singular_system, sweep
 from .geometry import PlatformGeometry, conic_check, make_circle_base
@@ -26,8 +28,6 @@ from .ik import Pose, check_lengths, leg_lengths
 from .rotation import Quaternion
 
 CSV_HEADER = "w1,branch_rot,branch_pos,q0,q1,q2,q3,x,y,z,feasible,residual"
-# what _reals wants at each nesting depth
-_DEPTHS = ("a JSON number", "a list of JSON numbers", "a list of lists of JSON numbers")
 
 
 def _jfloat(x) -> float:
@@ -57,22 +57,6 @@ def _load_object(path, what, *keys) -> dict:
     return data
 
 
-def _reals(path, data, key, ndim) -> np.ndarray:
-    """data[key] as floats: a JSON number, or lists of them nested ndim deep.
-    Strings and booleans are refused: float() would read "0.5" and true, and
-    a string would be read digit by digit."""
-    def numbers(x, depth):
-        if depth:
-            return isinstance(x, list) and all(numbers(y, depth - 1) for y in x)
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-    if not numbers(data[key], ndim):
-        raise ValidationError(f"{path}: '{key}' must be {_DEPTHS[ndim]}")
-    try:
-        return np.asarray(data[key], dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed '{key}': {exc}") from exc
-
-
 def load_geometry(path) -> PlatformGeometry:
     data = _load_object(path, "geometry file must be a JSON object")
     if ("base" in data) == ("circle_angles" in data):
@@ -80,24 +64,22 @@ def load_geometry(path) -> PlatformGeometry:
     if "mu" not in data:
         raise ValidationError(f"{path}: 'mu' is required (it never defaults)")
     if "base" in data:
-        base = _reals(path, data, "base", 2)
+        base = _float_array(data["base"], f"{path}: 'base'", (6, 2))
     else:
-        base = make_circle_base(_reals(path, data, "circle_angles", 1))
-    top = _reals(path, data, "A", 2) if "A" in data else None
-    return PlatformGeometry(base=base, mu=float(_reals(path, data, "mu", 0)), top_transform=top)
+        base = make_circle_base(_float_array(data["circle_angles"], f"{path}: 'circle_angles'", (6,)))
+    top = _float_array(data["A"], f"{path}: 'A'", (3, 3)) if "A" in data else None
+    return PlatformGeometry(base=base, mu=_real(data["mu"], f"{path}: 'mu'"), top_transform=top)
 
 
 def load_pose(path) -> Pose:
     data = _load_object(path, "pose file needs 'q' (4 reals) and 'P' (3 reals)", "q", "P")
-    q, p = _reals(path, data, "q", 1), _reals(path, data, "P", 1)
-    if len(q) != 4 or len(p) != 3:
-        raise ValidationError(f"{path}: 'q' must have 4 components and 'P' 3")
-    return Pose(Quaternion(*q.tolist()), p)
+    q = _float_array(data["q"], f"{path}: 'q'", (4,))
+    return Pose(Quaternion(*q.tolist()), _float_array(data["P"], f"{path}: 'P'", (3,)))
 
 
 def load_lengths(path) -> np.ndarray:
     data = _load_object(path, "lengths file needs key 'L' with 6 reals", "L")
-    return check_lengths(_reals(path, data, "L", 1))
+    return check_lengths(_float_array(data["L"], f"{path}: 'L'", (6,)))
 
 
 def cmd_ik(args) -> None:
@@ -109,7 +91,7 @@ def cmd_ik(args) -> None:
 
 def _conic_json(report) -> dict:
     return {
-        "detQ": _jfloat(report.det_q),
+        "margin": _jfloat(report.margin),
         "rank": int(report.rank),
         "on_conic": bool(report.on_conic),
         "conic": None if report.conic is None else [_jfloat(x) for x in report.conic],

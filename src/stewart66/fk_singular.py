@@ -75,9 +75,8 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
     below rank 5, Inconsistent when no pose realizes the lengths.
     """
     lengths = check_lengths(lengths)
-    q = build_q(geom.base)
-    f = factor_for_rank(q, 5)
-    conic = conic_report(q, f)
+    f = factor_for_rank(build_q(geom.base), 5)
+    conic = conic_report(f)
     return SingularSystem(
         particular=linalg.solve(f, d_from_lengths(geom, lengths),
                                 linalg.consistency_tol(lengths)),

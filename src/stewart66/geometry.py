@@ -20,19 +20,17 @@ from .rotation import from_matrix
 
 MIN_VERTEX_SEPARATION = 1e-9
 ORTHOGONALITY_TOL = 1e-9
-# Largest |x| or |y| of a base vertex.  The binding quantity is det Q,
-# which ConicReport hands out: for coordinates up to c, the columns
-# (1, x, y, x^2, xy, y^2) of Q have norms at most sqrt(6) times (1, c, c,
-# c^2, c^2, c^2), so |det Q| <= 216 * c^8 (Hadamard), below 2^1016 for
-# c = 2^126, short of the float maximum 2^1024.  The rank test's column
-# norms square entries of at most 2^252, and fk_nonsingular.MAX_W's
-# derivation needs a base within 2^500 of the origin: both hold with room.
+# Largest |x| or |y| of a base vertex.  For coordinates up to c, build_q's
+# squares reach c^2, and the rank test's column norms (linalg.lu_factor)
+# square those again: six terms of c^4 stay below the float maximum 2^1024
+# for c up to 2^255.  fk_nonsingular.MAX_W's derivation needs a base within
+# 2^500 of the origin.  2^126 meets both with room.
 MAX_COORDINATE = 2.0 ** 126
 # The mirror bound: some |x| or |y| must reach it.  Q's columns scale as
-# (1, r, r, r^2, r^2, r^2) with the base's reach r, so det Q ~ r^8 >=
-# 2^-1008, a normal float, and the rank test's column norms square
-# entries of about 2^-504 or more.  A geometry's base clears it by
-# MIN_VERTEX_SEPARATION.
+# (1, r, r, r^2, r^2, r^2) with the base's reach r, so the column norms
+# square entries of about r^4 >= 2^-504, normal floats (down to 2^-1022),
+# and the rank test reads the same bits at every power-of-two scale.  A
+# geometry's base clears it by MIN_VERTEX_SEPARATION.
 MIN_COORDINATE = 2.0 ** -126
 _FIRST, _SECOND = np.triu_indices(6, 1)  # the 15 vertex pairs, first < second, row-major
 # build_q's columns: ones, then x*x, x*y, y*y as base columns _LEFT times _RIGHT
@@ -91,7 +89,7 @@ class PlatformGeometry:
 class ConicReport:
     """Outcome of the rank test on the base's conic matrix."""
 
-    det_q: float  # reported by the CLI; the rank alone decides on_conic
+    margin: float  # s5/s0 of the column-scaled SVD; on_conic iff it is <= linalg.RANK_EPS
     rank: int
     on_conic: bool
     conic: Optional[np.ndarray]  # unit (1, x, y, x^2, xy, y^2) coefficients, rank 5 only
@@ -134,15 +132,14 @@ def conic_check(base) -> ConicReport:
     """Rank-test the conic matrix; six points on any conic drop it to five.
     ValidationError unless base is six finite planar points within
     MAX_COORDINATE, reaching MIN_COORDINATE (not necessarily distinct)."""
-    q = build_q(_check_base(base))
-    return conic_report(q, linalg.lu_factor(q))
+    return conic_report(linalg.lu_factor(build_q(_check_base(base))))
 
 
-def conic_report(q, f: linalg.Factorization) -> ConicReport:
-    """The rank test of conic matrix q read off its factorization f."""
+def conic_report(f: linalg.Factorization) -> ConicReport:
+    """The rank test of the conic matrix read off its factorization f."""
     conic = linalg.null_vector(f) if f.rank == 5 else None
     return ConicReport(
-        det_q=float(np.linalg.det(q)),
+        margin=float(f.s[5] / f.s[0]),
         rank=f.rank,
         on_conic=f.rank <= 5,
         conic=conic,

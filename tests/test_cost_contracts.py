@@ -156,6 +156,21 @@ def test_conic_check_then_fk_solve_factor_once(perturbed_geometry, rng, monkeypa
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("call", ["conic_check", "build_singular_system"])
+def test_the_conic_report_reads_its_one_svd(call, monkeypatch):
+    # rank, margin and conic all come from the factorization: no determinant
+    geom = PlatformGeometry(base=hexagon_base(), mu=0.5)
+    svds = svd_calls(monkeypatch)
+    dets, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda *args, **kw: dets.append(1) or det(*args, **kw))
+    if call == "conic_check":
+        report = conic_check(geom.base)
+    else:
+        report = build_singular_system(geom, np.full(6, math.sqrt(1.25))).conic
+    assert report.on_conic
+    assert dets == [] and len(svds) <= 1
+
+
 def test_alternating_devices_factor_on_every_call(rng, monkeypatch):
     # the memo holds one entry: two bases taking turns never hit it
     geoms = [PlatformGeometry(base=base, mu=0.5)

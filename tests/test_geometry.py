@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (CIRCLE_COEFFS, HEX_ANGLES, hexagon_base,
@@ -10,6 +10,7 @@ from helpers import (CIRCLE_COEFFS, HEX_ANGLES, hexagon_base,
 from stewart66.errors import DuplicateVertex, ValidationError
 from stewart66.geometry import (MAX_COORDINATE, MIN_COORDINATE, MIN_VERTEX_SEPARATION,
                                 PlatformGeometry, build_q, conic_check, make_circle_base)
+from stewart66.linalg import RANK_EPS
 
 # radii at which a circle base once broke the conic check: det Q overflowed
 # (1e60), the rank test's column norms did and it read rank 3 (1e150), or
@@ -71,7 +72,7 @@ def test_a_base_at_max_coordinate_still_answers():
     base = far_circle(MAX_COORDINATE)
     assert np.abs(base).max() <= MAX_COORDINATE
     report = conic_check(base)
-    assert report.rank == 5 and np.isfinite(report.det_q)
+    assert report.rank == 5 and report.margin <= RANK_EPS
     assert conic_check(base * [1.0, 0.5]).rank == 5  # an ellipse
     PlatformGeometry(base=base, mu=0.5)
 
@@ -84,8 +85,9 @@ def test_a_base_at_min_coordinate_still_answers():
     generic = perturbed_hexagon_base()
     generic *= MIN_COORDINATE / np.abs(generic).max()
     report = conic_check(generic)
-    # det Q ~ r^8 is still a normal float at this reach
-    assert report.rank == 6 and abs(report.det_q) >= np.finfo(float).tiny
+    # the column-scaled test reads the same margin at this reach as at 1
+    margin = conic_check(perturbed_hexagon_base()).margin
+    assert report.rank == 6 and report.margin == pytest.approx(margin, rel=1e-12)
 
 
 def test_build_q_first_vertex_row():
@@ -120,7 +122,7 @@ def test_conic_check_refuses_anything_but_six_finite_planar_points(base):
 
 def test_hexagon_determinant_vanishes():
     report = conic_check(hexagon_base())
-    assert abs(report.det_q) < 1e-9
+    assert report.margin <= RANK_EPS
     assert report.rank == 5
     assert report.on_conic
     target = CIRCLE_COEFFS / np.linalg.norm(CIRCLE_COEFFS)
@@ -133,7 +135,44 @@ def test_perturbed_hexagon_is_off_conic():
     assert report.rank == 6
     assert not report.on_conic
     assert report.conic is None
-    assert abs(report.det_q) > 1e-9
+    assert 0.027 < report.margin < 0.029
+
+
+# Power-of-two scales scale Q's columns exactly, so the column-scaled SVD
+# sees the same matrix.  1.2 * 2^126, the perturbed hexagon's reach at the
+# top scale, is past MAX_COORDINATE, so that base stops at 2^125.
+@pytest.mark.parametrize("base, top", [(perturbed_hexagon_base(), 125), (hexagon_base(), 126)],
+                         ids=["perturbed", "hexagon"])
+def test_the_margin_does_not_depend_on_scale(base, top):
+    assert len({conic_check(base * 2.0 ** k).margin for k in (-126, -20, 0, 20, top)}) == 1
+
+
+def test_the_margin_is_scale_free_off_powers_of_two():
+    margin = conic_check(perturbed_hexagon_base()).margin
+    for scale in (1e-3, 1e3):
+        scaled = conic_check(scale * perturbed_hexagon_base()).margin
+        assert scaled == pytest.approx(margin, rel=1e-12)
+    assert conic_check(1000.0 * hexagon_base()).rank == 5
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1e-5, 1e-7])
+def test_the_margin_measures_the_distance_from_the_conic(offset):
+    # the hexagon's vertex 0 pushed out radially by offset times the radius
+    base = hexagon_base()
+    base[0] *= 1.0 + offset
+    assert 0.16 <= conic_check(base).margin / offset <= 0.17
+
+
+@given(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6), st.integers(0, 5),
+       st.floats(-14.0, -2.0), st.integers(-60, 60))
+def test_on_conic_is_the_margin_test(angles, vertex, log_offset, log2_scale):
+    # a circle base with one vertex pushed out by 10^log_offset, at any scale
+    base = np.column_stack([np.cos(angles), np.sin(angles)])
+    base[vertex] *= 1.0 + 10.0 ** log_offset
+    report = conic_check(2.0 ** log2_scale * base)
+    # at the threshold itself the two tests may round apart
+    assume(abs(report.margin / RANK_EPS - 1.0) > 1e-9)
+    assert report.on_conic == (report.margin <= RANK_EPS)
 
 
 def test_line_points_are_degenerate_conic():

@@ -177,8 +177,8 @@ def test_float32_arrays_read_as_their_float64_values():
     lengths = leg_lengths(geom, LIFTED).astype(np.float32)
     assert fk_answer(geom, lengths) == fk_answer(twin, lengths.astype(float))
     assert fk_solve(geom, lengths)
-    assert same(conic_check(geom.base.astype(np.float32)).det_q,
-                conic_check(geom.base).det_q)
+    assert same(conic_check(geom.base.astype(np.float32)).margin,
+                conic_check(geom.base).margin)
 
 
 def test_float32_bounds_read_as_their_float64_values():
