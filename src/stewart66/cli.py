@@ -50,8 +50,8 @@ def _load_object(path, what, *keys) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or past the parser's limits
+        raise ValidationError(f"cannot read {path} as JSON: {exc}") from exc
     if not isinstance(data, dict) or not all(key in data for key in keys):
         raise ValidationError(f"{path}: {what}")
     return data

@@ -56,10 +56,10 @@ def _float_array(value, name: str, shape=None) -> np.ndarray:
     _real has them."""
     try:
         a = np.asarray(value)
-    except ValueError as exc:  # ragged
+        types = (set() if isinstance(value, np.ndarray) and a.dtype != object
+                 else set(map(type, np.asarray(value, dtype=object).flat)))
+    except (ValueError, RuntimeError) as exc:  # ragged, or nested past the 32 axes .flat walks
         raise ValidationError(f"{name} must be a regular array: {exc}") from exc
-    types = (set() if isinstance(value, np.ndarray) and a.dtype != object
-             else set(map(type, np.asarray(value, dtype=object).flat)))
     if a.dtype == object:
         real = all(issubclass(t, numbers.Real) and t is not bool for t in types)
     else:

@@ -27,7 +27,7 @@ from . import linalg
 from .errors import ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors, plane_map
-from .rotation import RENORM_TOL, Quaternion, canonicalize, columns
+from .rotation import Quaternion, canonicalize, columns
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
@@ -73,7 +73,8 @@ class RotationCandidates:
 
     Slot k of a row holds sign pattern SIGNS[:, k], canonicalized; kept marks
     the slots that are distinct candidates of a row that fits a unit
-    quaternion, so a row's candidate list is its kept slots in order.
+    quaternion, so a row's candidate list is its kept slots in order.  The
+    arrays are read-only.
     """
 
     quaternions: np.ndarray  # (N, 4, 4)
@@ -90,7 +91,8 @@ class SolutionArrays:
     tangency; branch 1 is the - point.  accepted marks the points that
     reproduce the leg lengths; positions and residuals elsewhere are not
     meaningful.  Slots 2-3 hold the base-plane mirrors of slots 0-1 (see
-    solution_arrays), those of dropped slots too.
+    solution_arrays), those of dropped slots too.  The arrays are
+    read-only, so they stay as the audit left them.
     """
 
     rotations: RotationCandidates
@@ -108,11 +110,12 @@ class SolutionArrays:
     def solutions(self) -> list:
         """One list of FkSolution per row, ordered by (candidate, + before -).
 
-        The accepted points are gathered by one flat index and checked as
-        one batch against what Pose and Quaternion require; the objects are
-        then filled column-wise by _fill, without repeating those checks one
-        object at a time.  Both sphere branches of a candidate have the same
-        plate, so they share one Quaternion.
+        The accepted points are gathered by one flat index and the objects
+        filled column-wise by _fill, without the checks of Pose and
+        Quaternion: the audit accepts only finite positions, and every plate
+        is canonicalize output, which Quaternion keeps as it is.  Both
+        sphere branches of a candidate have the same plate, so they share
+        one Quaternion.
         """
         points = self.accepted.ravel().nonzero()[0]  # flat (row, slot, branch)
         candidates = points >> 1                     # flat (row, slot)
@@ -121,15 +124,6 @@ class SolutionArrays:
         lead = per.nonzero()[0]
         plates = self.orientations.reshape(-1, 4).take(lead, axis=0)
         positions = self.positions.reshape(-1, 3).take(points, axis=0)
-        if not np.isfinite(positions).all():
-            raise ValidationError("position must be finite")
-        off = np.abs(np.sqrt(np.add.reduce(plates * plates, axis=1)) - 1.0)
-        # canonicalize has renormalized every candidate, so Quaternion would
-        # keep each as it is; any that is not (NaN included) takes the
-        # constructor's own check and renormalization.  The half margin
-        # covers the ulp by which x*x here and x**2 there can differ.
-        if not (off <= 0.5 * RENORM_TOL).all():
-            plates = np.array([Quaternion(*q).as_array() for q in plates.tolist()])
         with _collector_paused():
             # one Quaternion per candidate, repeated for each of its points
             shared = np.fromiter(_fill(Quaternion, *plates.T.tolist()), object, len(lead))
@@ -241,7 +235,10 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     # (q1, q2) != 0 still: the larger of the two kept its root
     turn, lead = q3 != 0.0, q0 != 0.0
     kept = np.array([fits, turn & (big | lead), big & lead, turn & big & lead]) & fits
-    return RotationCandidates(quaternions.T, kept.T, fits, squares.T)
+    fields = quaternions.T, kept.T, fits, squares.T
+    for x in fields:
+        x.flags.writeable = False
+    return RotationCandidates(*fields)
 
 
 def sphere_points(w, m):
@@ -325,9 +322,11 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     # 0.0 - z, not -z: a z that cancels to 0 is +0.0 in the mirror slot too
     z = positions[2, :, 2:]
     np.subtract(0.0, z, out=z)
-    return SolutionArrays(rotations, orientations.T, positions.T,
-                          np.concatenate([signs, signs], axis=1).T,
-                          np.concatenate([residuals, residuals[::-1]], axis=1).T, accepted.T)
+    fields = (orientations.T, positions.T, np.concatenate([signs, signs], axis=1).T,
+              np.concatenate([residuals, residuals[::-1]], axis=1).T, accepted.T)
+    for x in fields:
+        x.flags.writeable = False
+    return SolutionArrays(rotations, *fields)
 
 
 def fk_solve(geom: PlatformGeometry, lengths) -> list:

@@ -29,7 +29,9 @@ class Quaternion:
         # test: NotUnit
         for name in ("q0", "q1", "q2", "q3"):
             object.__setattr__(self, name, _real(getattr(self, name), name, finite=False))
-        norm = math.sqrt(self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
+        # squares added left to right, as canonicalize does: its output is kept
+        q0, q1, q2, q3 = self.q0, self.q1, self.q2, self.q3
+        norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
         if abs(norm - 1.0) > RENORM_TOL:
@@ -64,12 +66,8 @@ def columns(q, count: int) -> np.ndarray:
 
 
 def to_matrix(q: Quaternion) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (right handed, det +1)."""
-    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
-    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-        raise NotUnit(f"quaternion not unit: norm {norm:.9g}")
-    return columns([q0, q1, q2, q3], 3).T.copy()
+    """Rotation matrix of a Quaternion, unit by construction (right handed, det +1)."""
+    return columns([q.q0, q.q1, q.q2, q.q3], 3).T.copy()
 
 
 def canonicalize(q) -> np.ndarray:

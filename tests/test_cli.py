@@ -76,6 +76,22 @@ def test_missing_file_is_validation_error(hex_geom, capsys):
     assert main(["ik", "--geom", hex_geom, "--pose", "/nonexistent/pose.json"]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"{\"mu\": 0.5,",
+    b"[" * 100000 + b"]" * 100000,
+    b"{\"mu\": " + b"9" * 5000 + b"}",
+    b"{\"mu\": 0.5, \"name\": \"\xe9\"}",
+], ids=["invalid", "nested_100000", "digits_5000", "not_utf8"])
+def test_unreadable_files_are_validation_errors(content, tmp_path, capsys):
+    # JSONDecodeError, RecursionError, the int digit limit's ValueError
+    # (where the interpreter has one) and UnicodeDecodeError
+    geom = tmp_path / "geom.json"
+    geom.write_bytes(content)
+    assert main(["check", "--geom", str(geom)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(geom) in err
+
+
 def test_geometry_requires_mu(tmp_path, identity_pose, capsys):
     geom = write(tmp_path / "nomu.json", {"circle_angles": HEX_GEOM["circle_angles"]})
     assert main(["ik", "--geom", geom, "--pose", identity_pose]) == 2
@@ -109,12 +125,17 @@ def test_geometry_rejects_bad_top_transform(tmp_path, identity_pose, capsys):
 
 
 ANGLES = HEX_GEOM["circle_angles"]
+# six lengths inside 39 more lists: 40 axes, past the 32 numpy's .flat walks
+NESTED_40 = [ROOT_125] * 6
+for _ in range(39):
+    NESTED_40 = [NESTED_40]
 
 
 @pytest.mark.parametrize("kind, payload, key", [
     ("legs", {"L": "123456"}, "L"),
     ("legs", {"L": [True, 1, 1, 1, 1, 1]}, "L"),
     ("legs", {"L": [[1, 1, 1, 1, 1, 1]]}, "L"),
+    ("legs", {"L": NESTED_40}, "L"),
     ("legs", {"L": [10 ** 400] * 6}, "L"),
     ("pose", {"q": "1000", "P": [0, 0, 1]}, "q"),
     ("pose", {"q": [1, 0, 0, 0], "P": "001"}, "P"),

@@ -1,7 +1,7 @@
 """Every public entry point reads numbers through one array check and one
-scalar check (stewart66.errors): strings, booleans, ragged lists, None and
-non-finite values are refused with ValidationError everywhere, and what is
-accepted is read exactly as float64 would be.
+scalar check (stewart66.errors): strings, booleans, ragged or too deeply
+nested lists, None and non-finite values are refused with ValidationError
+everywhere, and what is accepted is read exactly as float64 would be.
 
 Leg lengths, w, the conic check and the sweep and scan bounds have their
 own parametrized tests next to their solvers; this table covers the rest.
@@ -34,6 +34,13 @@ def first_leaf(value, new):
     return new
 
 
+def nested(value, depth):
+    """value inside depth lists, one in the next."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 BAD = {
     "string": lambda good: first_leaf(good, "1"),
     "bool": lambda good: True,
@@ -41,6 +48,8 @@ BAD = {
     "ragged": lambda good: first_leaf(good, [1.0, 1.0]),
     "none": lambda good: None,
     "nonfinite": lambda good: first_leaf(good, math.nan),
+    # regular, but past the 32 axes numpy's .flat walks
+    "nested_40": lambda good: nested(good, 40),
 }
 
 

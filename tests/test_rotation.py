@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
@@ -58,13 +58,6 @@ def test_construction_normalizes_tiny_drift():
     assert q.q0 == 1.0
 
 
-def test_to_matrix_checks_norm():
-    q = Quaternion(1, 0, 0, 0)
-    object.__setattr__(q, "q0", 0.5)
-    with pytest.raises(NotUnit):
-        to_matrix(q)
-
-
 def test_components_are_stored_as_floats():
     # ints and float32 are read as their float64 values, so the rotation is
     # a float64 matrix, as for the float twin
@@ -97,6 +90,26 @@ def test_canonicalize_breaks_zero_q0_tie():
     q = canonicalize(np.array([[0.0, -1, 0, 0], [0.0, 0, 0, -1]]).T)
     assert q.T.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
     assert str(q[0, 0]) == "0.0"  # no -0.0 left behind
+
+
+# norms 1e-16 to 1e-7 off unit, either way: both sides of RENORM_TOL
+norm_offsets = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-16, -7),
+                         st.sampled_from([-1.0, 1.0]))
+
+
+@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4), norm_offsets)
+@example([0.5, -0.5, 0.5, -0.5], [False] * 4, RENORM_TOL)
+@example([0.3, -0.1, 0.9, 0.2], [False] * 4, -RENORM_TOL)
+@example([-0.3, 0.1, 0.9, 0.2], [True, False, False, True], RENORM_TOL * (1.0 + 1e-3))
+@example([0.0, 0.0, -1.0, 0.0], [False] * 4, -1e-16)
+def test_quaternion_keeps_what_canonicalize_returns(components, zeroed, offset):
+    # the kernel fills Quaternions with canonicalize output, skipping the
+    # constructor: it must be what the constructor would keep
+    c = np.where(zeroed, 0.0, components)
+    assume(math.sqrt(c @ c) > 0.1)
+    p = canonicalize(c / math.sqrt(c @ c) * (1.0 + offset))
+    assert Quaternion(*p.tolist()).as_array().tobytes() == p.tobytes()
 
 
 def test_array_forms_match_one_quaternion_at_a_time():
