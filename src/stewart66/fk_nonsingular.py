@@ -11,7 +11,7 @@ objects.  Base and top plate are planar, so candidate slots 2-3 are the
 mirror images of slots 0-1 through the base plane: only slots 0-1 go
 through the sphere stage and the audit.  fk_solve and
 fk_singular.recover_poses are a batch of one; the self-motion sweep and
-feasibility scan are one batch over their grid.
+feasible_interval are one batch over their parameter values.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ The sphere equation |P|^2 = w1 makes w1 the natural parameter along that
 line, or signed arc length where the line keeps w1 fixed (a conic through
 the base origin); w_at places either.  Each parameter value re-enters the
 nonsingular recovery and yields up to eight poses, all with identical leg
-lengths.  sweep and the feasibility scan hand their whole grid to that
-recovery as one batch;
-the refinement of the scan's flips splits every open bracket into equal
-cells and evaluates all their points as one batch per round.
+lengths.  sweep hands its whole grid to that recovery as one batch;
+feasible_interval reads the feasible parameters off the roots of five
+polynomials in the parameter and confirms them with one batch.
 """
 
 from __future__ import annotations
@@ -26,14 +25,10 @@ from .fk_nonsingular import MAX_W, SolutionArrays, _collector_paused, _fill, sol
 from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
 
-# Below this |n_1| the family cannot be indexed by w1; arc length instead.
+# Below this w1 component of the column-scaled null vector, which does not
+# change with the base's scale, w1 cannot index the family; arc length instead.
 W1_COMPONENT_TOL = 1e-8
 
-SCAN_POINTS = 1000
-# Relative width, scaled by 1 + |parameter|, at which a boundary bracket closes.
-BISECT_TOL = 1e-9
-# Equal cells a bracket is split into per batched evaluation: 31 points.
-_CELLS = 32
 # Largest sample count sweep takes.  numpy refuses an array of 2^63 bytes
 # or more, and sweep's largest holds 72 floats (576 bytes) a sample: the
 # audit's legs, 3 components x 6 legs x 2 branches for each of up to 2
@@ -81,7 +76,7 @@ def build_singular_system(geom: PlatformGeometry, lengths) -> SingularSystem:
         particular=linalg.solve(f, d_from_lengths(geom, lengths),
                                 linalg.consistency_tol(lengths)),
         null_dir=conic.conic,
-        parameterizable_by_w1=bool(abs(conic.conic[0]) > W1_COMPONENT_TOL),
+        parameterizable_by_w1=bool(abs(f.vt[5, 0]) > W1_COMPONENT_TOL),
         lengths=lengths,
         conic=conic,
     )
@@ -196,32 +191,29 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
                      np.where(np.isnan(steps), None, steps).tolist())
 
 
-def _refine(system: SingularSystem, geom: PlatformGeometry, inside, outside) -> np.ndarray:
-    """The feasible end of each (inside, outside) parameter bracket, narrowed
-    until its width is at most BISECT_TOL * (1 + |inside|).
+def _breakpoints(system: SingularSystem, mu: float) -> np.ndarray:
+    """The real parts of the at most 9 roots, in t, of the polynomials whose
+    signs decide whether w(t) = particular + t * null_dir has a pose.
 
-    Each round splits every open bracket into _CELLS equal cells and
-    evaluates the interior points of all of them in one solution_arrays
-    call.  A bracket keeps the first cell, walking from its feasible end,
-    whose far point is infeasible (the last cell if none is), so its
-    inside end is always a point found feasible.
+    A rotation fits where q0^2 and q3^2 are not negative (q1^2, q2^2 never
+    are): where 4 mu -/+ S >= hypot(D, w5), with S, D = w4 +/- w6.  The
+    sphere is met where chord^2 = w1 - |r0|^2 >= 0.  The plane normals'
+    Gram matrix 4 [[g11, w5/2], [w5/2, g22]], g11, g22 = 1 + mu^2 + w4, w6,
+    is the same for every candidate and positive definite where one fits,
+    so chord^2 has the sign of 4 det(g) w1 - (w2^2 g22 - w2 w3 w5 + w3^2 g11).
+    A double root that rounding splits into a complex pair keeps its real part.
     """
-    inside = np.array(inside, dtype=float)
-    outside = np.array(outside, dtype=float)
-    split = np.arange(1, _CELLS) / _CELLS
-    while True:
-        open_ = np.flatnonzero(np.abs(outside - inside) > BISECT_TOL * (1.0 + np.abs(inside)))
-        if not open_.size:
-            return inside
-        ins, outs = inside[open_, None], outside[open_, None]
-        points = np.concatenate([ins, ins + (outs - ins) * split, outs], axis=1)
-        ok = solution_arrays(geom, w_at(system, points[:, 1:-1].ravel()),
-                             system.lengths).feasible.reshape(len(open_), -1)
-        # the first cell whose far end is infeasible; the padding column
-        # picks the last cell when every interior point is feasible
-        k = np.argmin(np.column_stack([ok, np.zeros(len(open_), dtype=bool)]), axis=1)
-        rows = np.arange(len(open_))
-        inside[open_], outside[open_] = points[rows, k], points[rows, k + 1]
+    # w_i(t) as the coefficients (null_dir[i], particular[i]), highest first
+    w1, w2, w3, w4, w5, w6 = np.column_stack([system.null_dir, system.particular])
+    shift, bound = [0.0, 1.0 + mu * mu], [0.0, 4.0 * mu]
+    g11, g22, q0_side, q3_side = w4 + shift, w6 + shift, w4 + w6 - bound, w4 + w6 + bound
+    spread = np.convolve(w4 - w6, w4 - w6) + np.convolve(w5, w5)
+    cubic = (np.convolve(4.0 * np.convolve(g11, g22) - np.convolve(w5, w5), w1)
+             - np.convolve(np.convolve(w2, w2), g22) + np.convolve(np.convolve(w2, w3), w5)
+             - np.convolve(np.convolve(w3, w3), g11))
+    polynomials = (q0_side, q3_side, np.convolve(q0_side, q0_side) - spread,
+                   np.convolve(q3_side, q3_side) - spread, cubic)
+    return np.concatenate([np.roots(p) for p in polynomials]).real
 
 
 def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
@@ -229,25 +221,32 @@ def feasible_interval(system: SingularSystem, geom: PlatformGeometry,
     """Disjoint closed parameter intervals where poses exist, within
     [0, hint] on a w1 family and [-hint, hint] on an arc-length one.
 
-    A dense scan finds the flips, and equal-cell refinement narrows each
-    to BISECT_TOL * (1 + |s|); reports what the scan finds without
-    claiming the family has no branches beyond the hint.  Every endpoint
-    inside the scan range is the feasible end of its last refinement
-    bracket, so it admits a pose; ValidationError when the hint or a w
-    passes fk_nonsingular.MAX_W.
+    The roots of _breakpoints split the window into pieces; one
+    solution_arrays call on the piece edges and midpoints tells which
+    pieces have poses, and neighbouring ones merge.  An end the kernel
+    rejects moves inward by 1, 2, 4, ... ulps of its distance to its
+    piece's midpoint, up to the midpoint, which has a pose: every end
+    admits one.  ValidationError when the hint or a w passes
+    fk_nonsingular.MAX_W.
     """
     w1_hint_max = _real(w1_hint_max, "w1_hint_max")
     if not w1_hint_max > 0.0:
         raise ValidationError(f"w1_hint_max must be positive, got {w1_hint_max!r}")
     low = 0.0 if system.parameterizable_by_w1 else -w1_hint_max
-    w_at(system, [low, w1_hint_max])  # the ends' rule, before linspace overflows past it
-    grid = np.linspace(low, w1_hint_max, SCAN_POINTS)
-    flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
-    # first and last feasible scan index of each run, one run a row
-    ends = np.flatnonzero(np.diff(flags, prepend=False, append=False)).reshape(-1, 2) - [0, 1]
-    beyond = ends + [-1, 1]  # each end's infeasible neighbour
-    inner = (beyond >= 0) & (beyond < SCAN_POINTS)
-    points = grid[ends]
-    # an end with no neighbour on the scan stays the grid value
-    points[inner] = _refine(system, geom, grid[ends[inner]], grid[beyond[inner]])
-    return [tuple(row) for row in points.tolist()]
+    w_at(system, [low, w1_hint_max])  # the window's rule, before any root is placed in it
+    roots = _breakpoints(system, geom.mu)
+    if system.parameterizable_by_w1:
+        roots = system.particular[0] + roots * system.null_dir[0]
+    edges = np.unique(np.clip(np.append(roots, [low, w1_hint_max]), low, w1_hint_max))
+    points = np.empty(2 * len(edges) - 1)  # edge, midpoint, edge, ..., edge
+    points[::2], points[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    ok = solution_arrays(geom, w_at(system, points), system.lengths).feasible
+    # each run of feasible pieces as the indices of its two end edges
+    runs = np.flatnonzero(np.diff(ok[1::2], prepend=False, append=False)).reshape(-1, 2)
+    ends, bad = edges[runs], np.flatnonzero(~ok[2 * runs])
+    if bad.size:
+        end, mid = ends.flat[bad][:, None], points[(2 * runs + [1, -1]).flat[bad]][:, None]
+        steps = np.concatenate([end + (mid - end) * 2.0 ** np.arange(-52, 0), mid], axis=1)
+        ok = solution_arrays(geom, w_at(system, steps.ravel()), system.lengths).feasible
+        ends.flat[bad] = steps[np.arange(len(bad)), ok.reshape(steps.shape).argmax(axis=1)]
+    return [tuple(row) for row in ends.tolist()]

@@ -18,6 +18,7 @@ from .errors import (DegenerateBase, DuplicateVertex, SingularBase,
                      ValidationError, WrongRank, _float_array, _real)
 from .rotation import from_matrix
 
+# Two vertices closer than this times the largest vertex norm coincide.
 MIN_VERTEX_SEPARATION = 1e-9
 ORTHOGONALITY_TOL = 1e-9
 # Largest |x| or |y| of a base vertex.  For coordinates up to c, build_q's
@@ -29,8 +30,7 @@ MAX_COORDINATE = 2.0 ** 126
 # The mirror bound: some |x| or |y| must reach it.  Q's columns scale as
 # (1, r, r, r^2, r^2, r^2) with the base's reach r, so the column norms
 # square entries of about r^4 >= 2^-504, normal floats (down to 2^-1022),
-# and the rank test reads the same bits at every power-of-two scale.  A
-# geometry's base clears it by MIN_VERTEX_SEPARATION.
+# and the rank test reads the same bits at every power-of-two scale.
 MIN_COORDINATE = 2.0 ** -126
 _FIRST, _SECOND = np.triu_indices(6, 1)  # the 15 vertex pairs, first < second, row-major
 # build_q's columns: ones, then x*x, x*y, y*y as base columns _LEFT times _RIGHT
@@ -107,12 +107,13 @@ def _check_base(base) -> np.ndarray:
 
 
 def _check_distinct(base) -> np.ndarray:
-    """base; DuplicateVertex when two vertices lie within MIN_VERTEX_SEPARATION."""
+    """base; DuplicateVertex when two vertices lie within MIN_VERTEX_SEPARATION
+    times the largest vertex norm, so the rule holds at every scale."""
     gap = base.take(_FIRST, axis=0) - base.take(_SECOND, axis=0)
     gap *= gap
     dist = np.sqrt(gap[:, 0] + gap[:, 1])
     k = int(dist.argmin())
-    if dist[k] <= MIN_VERTEX_SEPARATION:
+    if dist[k] <= MIN_VERTEX_SEPARATION * np.sqrt((base * base).sum(axis=1).max()):
         raise DuplicateVertex(f"base vertices {_FIRST[k]} and {_SECOND[k]} coincide")
     return base
 

@@ -3,10 +3,10 @@
 The package recovers poses for N w vectors at once (fk_nonsingular.
 solution_arrays).  This module keeps the loop form of the same route, one
 w vector, one rotation candidate and one sphere point at a time, so the
-tests can hold the batched kernel to it.  It also keeps the one-point
-bisection of the feasibility boundaries, which the equal-cell refinement
-of fk_singular must match within its stop width BISECT_TOL * (1 + |w1|).
-It is test code only.
+tests can hold the batched kernel to it.  It also keeps a dense scan of
+the family parameter with one-point bisection of each flip, which the
+closed-form feasible set of fk_singular must match within the stop width
+BISECT_TOL * (1 + |w1|).  It is test code only.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from stewart66.errors import DegenerateLeg, Infeasible
 from stewart66.fk_nonsingular import solution_arrays
-from stewart66.fk_singular import BISECT_TOL, SCAN_POINTS, recover_poses, w_at
+from stewart66.fk_singular import recover_poses, w_at
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion, to_matrix
 
@@ -31,6 +31,10 @@ DEDUP_TOL = 1e-9
 TANGENT_EPS = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
+# Parameter values the feasibility scan tries over its window.
+SCAN_POINTS = 1000
+# Width at which a bisection bracket closes.
+BISECT_TOL = 1e-9
 
 
 def canonical(q):
@@ -192,8 +196,9 @@ def refine(system, geom, inside, outside):
 
 
 def feasible_interval(system, geom, w1_hint_max):
-    """The scan of fk_singular.feasible_interval, each flip bisected by
-    refine: over [0, hint] in w1, or [-hint, hint] in arc length."""
+    """A scan of SCAN_POINTS parameter values, each flip bisected by refine:
+    over [0, hint] in w1, or [-hint, hint] in arc length.  It misses any
+    interval narrower than the scan spacing."""
     low = 0.0 if system.parameterizable_by_w1 else -w1_hint_max
     grid = np.linspace(low, w1_hint_max, SCAN_POINTS)
     flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible.tolist()

@@ -1,12 +1,11 @@
 """The batched recovery held to the one-sample-at-a-time oracle.
 
-sweep and feasible_interval hand their whole grid to one
-solution_arrays call; scalar_oracle walks the same route one w vector,
-one candidate and one sphere point at a time.  feasible_interval narrows
-every scan flip by 32 equal cells per batch; scalar_oracle bisects one
-midpoint at a time.  Both return the feasible end of a bracket around the
-same boundary, so the endpoints agree within the refinement's stop width
-BISECT_TOL * (1 + |w1|).
+sweep hands its whole grid to one solution_arrays call; scalar_oracle
+walks the same route one w vector, one candidate and one sphere point at
+a time.  feasible_interval places its ends at the roots of the family's
+feasibility polynomials; scalar_oracle scans the parameter and bisects
+each flip one midpoint at a time.  Both find the same boundaries, so the
+endpoints agree within the bisection's stop width BISECT_TOL * (1 + |w1|).
 """
 
 import math
@@ -17,11 +16,10 @@ import pytest
 import scalar_oracle as oracle
 from helpers import (circle_through_origin_geometry, hexagon_base,
                      seeded_conic_family, zero_pattern_rows)
-from stewart66 import fk_singular
+from scalar_oracle import BISECT_TOL, SCAN_POINTS
 from stewart66.errors import Infeasible
 from stewart66.fk_nonsingular import rotation_candidates, solution_arrays
-from stewart66.fk_singular import (BISECT_TOL, SCAN_POINTS, _refine, build_singular_system,
-                                   feasible_interval, sweep, w_at)
+from stewart66.fk_singular import build_singular_system, feasible_interval, sweep, w_at
 from stewart66.geometry import PlatformGeometry
 from stewart66.ik import Pose, leg_lengths
 from stewart66.rotation import Quaternion
@@ -144,8 +142,7 @@ def test_sweep_matches_per_sample_recovery(kind):
 @pytest.mark.parametrize("kind, seed", [("hexagon", None), ("arc_length", None)] + [
     (kind, seed) for kind in ("circle", "ellipse", "top_rotation") for seed in (1, 2, 3, 4, 5)])
 def test_interval_endpoints_match_one_point_bisection(kind, seed):
-    # no seeded family has more than one interval (two flips); the test
-    # below puts many brackets into one batch instead
+    # no seeded family has more than one interval (two flips)
     if seed is None:
         geom, system, _ = family(kind)
     else:
@@ -155,40 +152,3 @@ def test_interval_endpoints_match_one_point_bisection(kind, seed):
     assert intervals
     assert_ends_close(np.ravel(intervals).tolist(),
                       np.ravel(oracle.feasible_interval(system, geom, HINT)).tolist())
-
-
-def test_many_brackets_bisect_as_one_at_a_time():
-    geom, system, _ = family("circle")
-    grid = np.linspace(0.0, HINT, SCAN_POINTS).tolist()
-    flags = solution_arrays(geom, w_at(system, grid), system.lengths).feasible
-    first, last = np.flatnonzero(flags)[[0, -1]].tolist()
-    # widths from 5e-10 (closed before any step) to 400 grid steps, so the
-    # brackets close in different rounds of the batched refinement
-    brackets = [(grid[first], grid[first - k]) for k in (1, 2, 3, 17, 400) if first - k >= 0]
-    brackets += [(grid[last], grid[last + k]) for k in (1, 5, 60) if last + k < SCAN_POINTS]
-    brackets += [(grid[last], grid[last] + 5e-10), (grid[first], grid[first])]
-    assert len(brackets) >= 8
-    expected = [oracle.refine(system, geom, inside, outside) for inside, outside in brackets]
-    inside, outside = zip(*brackets)
-    assert_ends_close(_refine(system, geom, inside, outside).tolist(), expected)
-    assert _refine(system, geom, [], []).tolist() == []
-
-
-def test_refinement_takes_31_points_per_bracket_per_batch(monkeypatch):
-    geom, system, _ = family("circle")
-    calls = []
-
-    def counted(*args):
-        calls.append(len(args[1]))
-        return solution_arrays(*args)
-
-    monkeypatch.setattr(fk_singular, "solution_arrays", counted)
-    assert len(feasible_interval(system, geom, HINT)) == 1
-    # each flip's bracket starts one grid step wide and shrinks 32-fold per
-    # round; a bracket at larger w1 may close a round early
-    rounds = math.ceil(math.log(HINT / (SCAN_POINTS - 1) / BISECT_TOL, 32))
-    assert calls[0] == SCAN_POINTS
-    assert 1 <= len(calls) - 1 <= rounds
-    assert calls[1] == 2 * 31
-    assert all(n in (31, 62) for n in calls[1:])
-    assert calls[1:] == sorted(calls[1:], reverse=True)

@@ -348,6 +348,45 @@ def test_a_base_outside_the_coordinate_bounds_exits_2(command, radius, tmp_path,
     assert out == "" and "base coordinates must be at most" in err
 
 
+@pytest.mark.parametrize("radius", [1e-12, 1e-9])
+def test_check_reads_a_small_circle_as_a_conic(radius, tmp_path, capsys):
+    # the distinct-vertex rule scales with the base's size; an absolute
+    # 1e-9 once refused both radii as coincident vertices
+    t = 1.1 * np.arange(6)
+    base = radius * np.column_stack([np.cos(t), np.sin(t)])
+    geom = write(tmp_path / "small.json", {"base": base.tolist(), "mu": 0.5})
+    assert main(["check", "--geom", geom]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank"] == 5 and report["on_conic"] is True
+
+
+def test_sweep_indexes_a_small_hexagon_by_w1(tmp_path, capsys):
+    # at radius 1e-4 the hexagon family's unit null vector has n1 = 7.1e-9;
+    # the rule reads the column-scaled one, which does not change with scale
+    radius = 1e-4
+    t = np.arange(6) * math.pi / 3
+    geom = write(tmp_path / "small.json",
+                 {"base": (radius * np.column_stack([np.cos(t), np.sin(t)])).tolist(), "mu": 0.5})
+    legs = write(tmp_path / "legs.json", {"L": [radius * ROOT_125] * 6})
+    out_csv = tmp_path / "small.csv"
+    assert main(["sweep", "--geom", geom, "--legs", legs, "--w1-min", "0",
+                 "--w1-max", str(radius ** 2), "--samples", "11", "--out", str(out_csv)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["parameterized_by_w1"] is True
+    assert summary["feasible_count"] == 11
+
+
+def test_importing_the_package_loads_no_numpy_submodule():
+    # `import numpy` leaves numpy.polynomial and others unloaded; each one
+    # the package pulled in would cost every CLI process its import time
+    code = ("import sys, numpy; before = set(sys.modules); import stewart66, stewart66.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_check_duplicate_vertices_exit_2(tmp_path, capsys):
     geom = write(tmp_path / "dup.json",
                  {"base": [[1, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0.5, 0.5]],

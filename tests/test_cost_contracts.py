@@ -19,12 +19,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (hexagon_base, perturbed_hexagon_base, random_feasible_pose, random_rotation,
+from helpers import (circle_through_origin_geometry, circle_through_origin_system, hexagon_base,
+                     perturbed_hexagon_base, random_feasible_pose, random_rotation,
                      seeded_conic_family)
-from stewart66 import fk_singular
 from stewart66.fk_nonsingular import fk_solve, solution_arrays
-from stewart66.fk_singular import (_CELLS, BISECT_TOL, SCAN_POINTS, build_singular_system,
-                                   feasible_interval, recover_poses, sweep, w_at)
+from stewart66.fk_singular import (build_singular_system, feasible_interval, recover_poses, sweep,
+                                   w_at)
 from stewart66.geometry import PlatformGeometry, conic_check
 from stewart66.ik import Pose, leg_lengths
 from stewart66.linalg import lu_factor
@@ -83,30 +83,6 @@ def test_sweep_makes_the_same_calls_at_every_sample_count():
     assert counts[0] == counts[1] == counts[2]
 
 
-def test_feasible_interval_refines_in_logarithmically_many_batches(monkeypatch):
-    # one scan batch, then one batch per refinement round; a round narrows
-    # every bracket _CELLS-fold from the scan spacing until it is at most
-    # BISECT_TOL * (1 + |s|) wide
-    geom, system = hexagon_family()
-    hint = 5.0
-    found = feasible_interval(system, geom, hint)
-    rows = []
-
-    def recorded(geom, w, lengths):
-        rows.append(len(w))
-        return solution_arrays(geom, w, lengths)
-
-    monkeypatch.setattr(fk_singular, "solution_arrays", recorded)
-    calls = package_calls(feasible_interval, system, geom, hint)
-    spacing = hint / (SCAN_POINTS - 1)
-    rounds = max(math.ceil(math.log(spacing / (BISECT_TOL * (1.0 + abs(s))), _CELLS))
-                 for interval in found for s in interval)
-    assert calls["fk_nonsingular.solution_arrays"] == len(rows) <= 1 + rounds
-    # [0, 1]: the end at 0 is a scan point, the end at 1 one bracket of
-    # _CELLS - 1 interior points a round
-    assert len(found) == 1 and rows == [SCAN_POINTS] + [_CELLS - 1] * rounds
-
-
 @pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])
 def test_fk_solve_builds_factors_and_recovers_once(top, rng):
     a = None if top is None else random_rotation(rng)
@@ -135,6 +111,22 @@ def svd_calls(monkeypatch) -> list:
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
     return calls
+
+
+@pytest.mark.parametrize("gap, calls", [(None, 1), (1e-7, 2)], ids=["hexagon", "near_origin"])
+def test_feasible_interval_recovers_once_and_factors_nothing(gap, calls, monkeypatch):
+    # one solution_arrays call on the piece edges and midpoints; a second
+    # only when an end the kernel rejects steps inward, as the lower end of
+    # the circle 1e-7 from the base origin does (n1 = 8.2e-8)
+    if gap is None:
+        geom, system = hexagon_family()
+    else:
+        geom = circle_through_origin_geometry(gap=gap)
+        system = circle_through_origin_system(geom)
+    svds = svd_calls(monkeypatch)
+    counts = package_calls(feasible_interval, system, geom, 5.0)
+    assert counts["fk_nonsingular.solution_arrays"] == calls
+    assert svds == []
 
 
 @pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])

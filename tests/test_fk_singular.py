@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import scalar_oracle as oracle
 from helpers import (CIRCLE_COEFFS, circle_through_origin_geometry,
                      circle_through_origin_system, collinear_base, hexagon_base, leg_jacobian, pose_gap,
                      perturbed_hexagon_base, random_circle_base, random_feasible_pose,
@@ -12,11 +15,11 @@ from stewart66 import fk_singular
 from stewart66.errors import (DegenerateBase, Inconsistent, Infeasible, ValidationError,
                               WrongRank)
 from stewart66.fk_nonsingular import rotation_candidates, solution_arrays
-from stewart66.fk_singular import (BISECT_TOL, MAX_SAMPLES, build_singular_system,
-                                   feasible_interval, recover_poses, sweep, w_at)
-from stewart66.geometry import PlatformGeometry, build_q
-from stewart66.ik import Pose, leg_lengths, w_from_pose
-from stewart66.rotation import Quaternion
+from stewart66.fk_singular import (MAX_SAMPLES, build_singular_system, feasible_interval,
+                                   recover_poses, sweep, w_at)
+from stewart66.geometry import PlatformGeometry, build_q, make_circle_base
+from stewart66.ik import Pose, leg_lengths, plane_map, w_from_pose
+from stewart66.rotation import Quaternion, columns
 
 ROOT_125 = math.sqrt(1.25)
 
@@ -281,14 +284,14 @@ def test_feasible_interval_unit(hexagon_geometry, resting_system):
     intervals = feasible_interval(resting_system, hexagon_geometry, 5.0)
     assert len(intervals) == 1
     lo, hi = intervals[0]
-    assert abs(lo - 0.0) <= 1e-6
-    assert abs(hi - 1.0) <= 1e-6
+    assert abs(lo - 0.0) <= 1e-12
+    assert abs(hi - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("radius", [3000.0, 1e4])
 def test_feasible_interval_far_from_unit_scale(radius, monkeypatch):
-    # the stop width scales with w1, because an absolute width below the
-    # float spacing of w1 = radius**2 could never be reached
+    # the ends are roots, placed to the float spacing of w1 = radius**2
+    # with no search that has to reach it
     geom = PlatformGeometry(base=radius * hexagon_base(), mu=0.5)
     lengths = leg_lengths(geom, Pose(Quaternion(1, 0, 0, 0), np.array([0.0, 0.0, radius])))
     system = build_singular_system(geom, lengths)
@@ -320,7 +323,7 @@ def test_feasible_interval_contains_seed_at_origin(hexagon_geometry):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["circle", "ellipse"])
 def test_interval_endpoints_admit_poses(kind, seed):
-    # the refinement returns the feasible end of its last bracket
+    # an end the kernel rejects steps inward until it admits a pose
     geom, lengths = seeded_conic_family(kind, seed)
     system = build_singular_system(geom, lengths)
     intervals = feasible_interval(system, geom, 4.0)
@@ -328,6 +331,119 @@ def test_interval_endpoints_admit_poses(kind, seed):
     for lo, hi in intervals:
         for w1 in (lo, hi):
             assert recover_poses(geom, w_at(system, w1), lengths)
+
+
+def seed_parameter(system, geom, pose):
+    """The family parameter of a pose: w1, or arc length from the particular solution."""
+    if system.parameterizable_by_w1:
+        return float(pose.position @ pose.position)
+    return float((w_from_pose(geom, pose) - system.particular) @ system.null_dir)
+
+
+def assert_ends_admit_poses(system, geom, intervals):
+    ends = np.ravel(intervals)
+    assert solution_arrays(geom, w_at(system, ends), system.lengths).feasible.all()
+
+
+def random_conic_base(rng, kind):
+    """Six random points on a circle with a random centre, an ellipse with
+    random axes, centre and turn, or a circle through the base origin."""
+    t = rng.uniform(0.0, 2.0 * np.pi, 6)
+    if kind == "ellipse":
+        axes, phi = rng.uniform(0.3, 2.0, 2), rng.uniform(0.0, np.pi)
+        c, s = np.cos(phi), np.sin(phi)
+        points = (axes * np.column_stack([np.cos(t), np.sin(t)])) @ np.array([[c, -s], [s, c]]).T
+        return rng.uniform(-1.0, 1.0, 2) + points
+    radius = rng.uniform(0.3, 2.0)
+    if kind == "circle":
+        centre = rng.uniform(-1.5, 1.5, 2)
+    else:
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        centre = radius * np.array([np.cos(phi), np.sin(phi)])
+    return centre + radius * np.column_stack([np.cos(t), np.sin(t)])
+
+
+@given(kind=st.sampled_from(["circle", "ellipse", "origin"]), turned=st.booleans(),
+       mu=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+def test_feasible_set_holds_the_seed_and_its_ends_admit_poses(kind, turned, mu, seed):
+    rng = np.random.default_rng(seed)
+    geom = PlatformGeometry(base=random_conic_base(rng, kind), mu=mu,
+                            top_transform=random_rotation(rng) if turned else None)
+    pose = Pose(random_unit_quaternion(rng), rng.uniform(-1.0, 1.0, 3))
+    system = build_singular_system(geom, leg_lengths(geom, pose))
+    assert system.parameterizable_by_w1 == (kind != "origin")
+    s = seed_parameter(system, geom, pose)
+    intervals = feasible_interval(system, geom, 2.0 * abs(s) + 1.0)
+    assert any(lo <= s <= hi for lo, hi in intervals)
+    assert np.all(np.diff(np.ravel(intervals)) >= 0.0)
+    assert_ends_admit_poses(system, geom, intervals)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_circle_near_the_base_origin_keeps_its_seed(gap):
+    # the identity pose at height 1 sits at w1 = 1, on the end where q3
+    # reaches 0; the interval is (1 + sqrt 2) * gap wide to first order,
+    # below the old 1000-point scan's spacing from gap 1e-4 down
+    geom = circle_through_origin_geometry(gap=gap)
+    system = circle_through_origin_system(geom)
+    assert system.parameterizable_by_w1
+    intervals = feasible_interval(system, geom, 5.0)
+    assert len(intervals) == 1
+    lo, hi = intervals[0]
+    assert lo - 1e-12 <= 1.0 <= hi
+    assert hi - lo == pytest.approx((1.0 + math.sqrt(2.0)) * gap, rel=gap)
+    assert_ends_admit_poses(system, geom, intervals)
+
+
+def test_an_interval_narrower_than_a_scan_spacing_is_found():
+    # the seed's interval is 1.0e-3 wide, a fifth of the spacing of a
+    # 1000-point scan over [0, 5], which finds no interval at all
+    base = np.array([0.4, -0.9]) + make_circle_base([0.3, 1.2, 2.2, 3.3, 4.2, 5.4])
+    geom = PlatformGeometry(base=base, mu=0.2)
+    q = np.array([0.2, -1.0, -0.9, -0.2])
+    pose = Pose(Quaternion(*(q / np.linalg.norm(q)).tolist()), np.array([-0.6, 0.3, -0.4]))
+    system = build_singular_system(geom, leg_lengths(geom, pose))
+    s = seed_parameter(system, geom, pose)
+    intervals = feasible_interval(system, geom, 5.0)
+    (lo, hi), = [(lo, hi) for lo, hi in intervals if lo <= s <= hi]
+    assert hi - lo < 0.25 * 5.0 / (oracle.SCAN_POINTS - 1)
+    assert_ends_admit_poses(system, geom, intervals)
+    assert oracle.feasible_interval(system, geom, 5.0) == []
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "top_rotation"])
+def test_every_candidate_meets_the_sphere_as_the_gram_formula_says(kind):
+    # the plane normals' Gram matrix depends on w4..w6 only, so chord^2 is
+    # one number per row, the same for all four rotation candidates
+    for seed in (1, 2, 3):
+        geom, lengths = seeded_conic_family(kind, seed)
+        w = w_at(build_singular_system(geom, lengths), np.linspace(0.0, 4.0, 401))
+        rotations = rotation_candidates(w, geom.mu)
+        u, v = 2.0 * plane_map(geom, columns(rotations.quaternions.T, 2))  # (3, slot, row)
+        n = np.cross(u, v, axis=0)
+        w1, w2, w3, w4, w5, w6 = w.T
+        r0 = np.cross(w2 * v - w3 * u, n, axis=0) / (n * n).sum(axis=0)
+        r02 = (r0 * r0).sum(axis=0)
+        g11, g22 = 1.0 + geom.mu ** 2 + w4, 1.0 + geom.mu ** 2 + w6
+        gram = w1 - (w2 * w2 * g22 - w2 * w3 * w5 + w3 * w3 * g11) / (4.0 * g11 * g22 - w5 * w5)
+        kept = rotations.kept.T
+        assert kept.any()
+        assert np.all(np.abs(w1 - r02 - gram)[kept] <= 1e-12 * (np.abs(w1) + r02)[kept])
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e-4, 1e-3, 1.0, 1e3])
+def test_the_family_parameter_does_not_depend_on_the_base_scale(radius):
+    # a centred circle is a w1 family at every radius (n1 = 7.1e-9 at
+    # radius 1e-4), a circle through the origin an arc-length one
+    t = np.array([0.3, 1.2, 2.2, 3.3, 4.2, 5.4])
+    pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), np.array([0.0, 0.0, radius]))
+    for offset, by_w1 in ((0.0, True), (1.0, False)):
+        base = radius * np.column_stack([offset + np.cos(t), np.sin(t)])
+        geom = PlatformGeometry(base=base, mu=0.5)
+        system = build_singular_system(geom, leg_lengths(geom, pose))
+        assert system.parameterizable_by_w1 is by_w1
+        if by_w1:
+            assert w_at(system, radius ** 2)[0] == pytest.approx(radius ** 2, rel=1e-9)
 
 
 def sigma_ratio(geom, pose):
@@ -380,17 +496,17 @@ def test_conic_without_constant_term_is_indexed_by_arc_length():
 
 
 def test_arc_length_intervals_contain_every_seed_pose(rng):
-    # the scan covers [-hint, hint]: some runs reach below 0, and every
-    # seed's own arc length lies inside a run
+    # the window is [-hint, hint]: some intervals reach below 0, and every
+    # seed's own arc length lies inside one
     geom = circle_through_origin_geometry()
     below_zero = 0
     for _ in range(4):
         pose = random_feasible_pose(geom, rng)
         system = build_singular_system(geom, leg_lengths(geom, pose))
         assert not system.parameterizable_by_w1
-        t = float((w_from_pose(geom, pose) - system.particular) @ system.null_dir)
+        t = seed_parameter(system, geom, pose)
         intervals = feasible_interval(system, geom, 5.0)
-        slack = BISECT_TOL * (1.0 + abs(t))
+        slack = 1e-9 * (1.0 + abs(t))
         assert any(lo - slack <= t <= hi + slack for lo, hi in intervals)
         below_zero += any(lo < 0.0 for lo, _ in intervals)
         for lo, hi in intervals:

@@ -60,6 +60,22 @@ def test_circle_base_and_geometry_agree_on_vertex_separation(start, ratio, dupli
             build(angles)
 
 
+@pytest.mark.parametrize("radius", [2.0 ** -120, 1e-12, 1e-9, 1.0, 1e4])
+def test_vertex_separation_scales_with_the_base(radius):
+    # the rule is MIN_VERTEX_SEPARATION times the largest vertex norm
+    base = far_circle(radius)
+    PlatformGeometry(base=base, mu=0.5)
+    assert conic_check(base).rank == 5
+    for ratio, duplicate in ((0.5, True), (2.0, False)):
+        close = base.copy()
+        close[1] = close[0] + [0.0, ratio * MIN_VERTEX_SEPARATION * radius]
+        if duplicate:
+            with pytest.raises(DuplicateVertex, match="base vertices 0 and 1 coincide"):
+                PlatformGeometry(base=close, mu=0.5)
+        else:
+            PlatformGeometry(base=close, mu=0.5)
+
+
 @pytest.mark.parametrize("radius", OUT_OF_BOUNDS_RADII)
 def test_bases_outside_the_coordinate_bounds_are_refused(radius):
     with pytest.raises(ValidationError, match="base coordinates must be at most"):

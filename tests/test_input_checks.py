@@ -3,7 +3,7 @@ scalar check (stewart66.errors): strings, booleans, ragged or too deeply
 nested lists, None and non-finite values are refused with ValidationError
 everywhere, and what is accepted is read exactly as float64 would be.
 
-Leg lengths, w, the conic check and the sweep and scan bounds have their
+Leg lengths, w, the conic check, the sweep bounds and the interval hint have their
 own parametrized tests next to their solvers; this table covers the rest.
 """
 
