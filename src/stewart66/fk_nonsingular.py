@@ -27,7 +27,7 @@ from . import linalg
 from .errors import ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors, plane_map
-from .rotation import Quaternion, canonicalize, columns
+from .rotation import Quaternion, _renormalize, canonicalize, columns
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
@@ -49,6 +49,10 @@ MAX_W = 2.0 ** 340
 # jointly, q3 on its own.
 SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                   [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
+# Row k is rotation.LEAD_WEIGHTS times SIGNS[:, k]: with it canonicalize's
+# lead-sign test reads every slot off the signs of one quaternion.
+SLOT_LEADS = np.array([[8.0, 4.0, 2.0, 1.0], [8.0, 4.0, 2.0, -1.0],
+                       [8.0, -4.0, -2.0, 1.0], [8.0, -4.0, -2.0, -1.0]])
 # Negates the first of two rows.
 MINUS_PLUS = np.array([-1.0, 1.0])[:, None]
 # The quaternion of a half turn about z, as one column.
@@ -178,11 +182,12 @@ def _fill(cls, *columns) -> list:
 
 
 def _cross(a, b) -> np.ndarray:
-    # a x b, components first: each component is one block of the batch
-    (a0, a1, a2), (b0, b1, b2), c = a, b, np.empty(np.shape(a))
-    np.subtract(a1 * b2, a2 * b1, out=c[0])
-    np.subtract(a2 * b0, a0 * b2, out=c[1])
-    np.subtract(a0 * b1, a1 * b0, out=c[2])
+    # a x b, components first, each component one block of the batch:
+    # components 0 and 1, a1*b2 - a2*b1 and a2*b0 - a0*b2, in one pass over
+    # row pairs (a1, a2) * (b2, b0) and (a2, a0) * (b1, b2); then component 2
+    c = np.empty(a.shape)
+    np.subtract(a[1:] * b[::-2], a[::-2] * b[1:], out=c[:2])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=c[2])
     return c
 
 
@@ -200,14 +205,17 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     slots 3 and 2 are -slot 0 and -slot 1.  Snapped components are 0 or
     above sqrt(8*EPS) ~ 4e-8, so distinct slots are at least 8e-8 apart.
     """
-    w4, w5, w6 = np.asarray(w, dtype=float).T[3:]
+    wt = np.asarray(w, dtype=float).T
+    w4, w5, w6 = wt[3], wt[4], wt[5]
     alpha = (w4 - w6) / (4.0 * mu)
-    beta = -w5 / (8.0 * mu)
+    # -w5 / (8 mu): a quotient rounds the same either side of 0
+    beta = w5 / (-8.0 * mu)
     gamma = np.hypot(alpha, 2.0 * beta)
     # common noise scale for all four squared components: every one of them
     # combines O(1)-sized terms built from w4, w5, w6, so the floor cannot
     # shrink with gamma (gamma itself is noise at the degenerate point)
-    scale = 1.0 + (np.abs(w4) + np.abs(w5) + np.abs(w6)) / (4.0 * mu) + gamma
+    size = np.abs(wt[3:])
+    scale = 1.0 + (size[0] + size[1] + size[2]) / (4.0 * mu) + gamma
     half = w4 / (4.0 * mu)
     # q1^2, q2^2 = (gamma -/+ alpha) / 2, then q0^2, q3^2 = 0.5 -/+ half
     # less them: x - y is x + (-y) exactly, so MINUS_PLUS forms a pair at once
@@ -218,26 +226,35 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     # that formed them) are noise either way; snapping them to zero matters
     # because the square root would amplify 1e-16 noise into 1e-8 components
     q = np.sqrt(np.where(squares > 8.0 * EPS * scale, squares, 0.0))
-    q0, q1, q2, q3 = q
+    q1, q2 = q[1], q[2]
     fits = (squares >= -CLAMP_TOL).all(axis=0)
-    big = np.maximum(q1, q2) > 0.0
-    # the two masks are disjoint, so neither division reads what the other wrote
-    first, second = big & (q1 <= q2), big & (q1 > q2)
-    np.divide(np.abs(beta), q2, out=q1, where=first)
-    np.divide(np.abs(beta), q1, out=q2, where=second)
-    np.negative(q1, out=q1, where=beta < 0.0)
+    # which components are 0 does not change below: of q1 and q2 the larger
+    # keeps its root, and big, (q1, q2) != 0, decides the rest
+    nonzero = q != 0.0
+    lead, big, turn = nonzero[0], nonzero[1] | nonzero[2], nonzero[3]
+    # big > first is big and not first: the masks are disjoint, so neither
+    # division reads what the other wrote
+    first, product = q1 <= q2, np.abs(beta)
+    np.divide(product, q2, out=q1, where=big & first)
+    np.divide(product, q1, out=q2, where=big > first)
+    # q1 >= +0 so far and takes the sign of beta < 0: beta + 0.0 is +0.0 at -0.0
+    np.copysign(q1, beta + 0.0, out=q1)
     # rows no rotation fits carry a half turn about z, so the stages after
     # stay finite: its position planes meet in a line for every mu
-    quaternions = np.where(fits, q, HALF_TURN)[:, None, :] * SIGNS  # (component, slot, row)
-    quaternions += 0.0
-    quaternions = canonicalize(quaternions)
-    # slot 1 negates q3, slot 2 (q1, q2) and slot 3 all three.  big is
-    # (q1, q2) != 0 still: the larger of the two kept its root
-    turn, lead = q3 != 0.0, q0 != 0.0
-    kept = np.array([fits, turn & (big | lead), big & lead, turn & big & lead]) & fits
+    q = _renormalize(np.where(fits, q, HALF_TURN))
+    # canonicalize each slot, SIGNS[:, k] * q, from q once: the norm is the
+    # same in every slot, and the lead sign canonicalize reads is
+    # LEAD_WEIGHTS @ (SIGNS[:, k] * sign(q)) = SLOT_LEADS[k] @ sign(q)
+    flip = SLOT_LEADS @ np.sign(q) < 0.0
+    quaternions = q[:, None, :] * SIGNS  # (component, slot, row)
+    np.subtract(0.0, quaternions, out=quaternions, where=flip)
+    quaternions += 0.0  # the zeros SIGNS negated are +0.0 again
+    # slot 1 negates q3, slot 2 (q1, q2) and slot 3 all three
+    both = big & lead
+    kept = np.array([fits, turn & (big | lead), both, turn & both]) & fits
     fields = quaternions.T, kept.T, fits, squares.T
     for x in fields:
-        x.flags.writeable = False
+        x.setflags(write=False)
     return RotationCandidates(*fields)
 
 
@@ -253,20 +270,24 @@ def sphere_points(w, m):
     (3, 2, K, N), signs (2, K, N) and hit (2, K, N): branch 0 is the +
     point, or the tangency point with sign 0, branch 1 the - point.
     """
-    w1, w2, w3 = np.asarray(w, dtype=float).T[:3]
-    u, v = 2.0 * m
+    wt = np.asarray(w, dtype=float).T
+    w1, w2, w3 = wt[0], wt[1], wt[2]
+    uv = 2.0 * m
+    u, v = uv[0], uv[1]
     n = _cross(u, v)
     # add.reduce over the leading component axis adds the squares left to right
     nn = np.add.reduce(n * n, axis=0)
-    r0 = _cross(w2 * v - w3 * u, n)
+    x = w2 * v
+    x -= w3 * u
+    r0 = _cross(x, n)
     r0 /= nn
     chord2 = w1 - np.add.reduce(r0 * r0, axis=0)
-    tangent = chord2 <= TANGENT_EPS
-    step = n * (np.sqrt(np.where(tangent, 0.0, chord2)) / np.sqrt(nn))
+    split = chord2 > TANGENT_EPS
+    step = n * (np.sqrt(np.where(split, chord2, 0.0)) / np.sqrt(nn))
     points = r0[:, None] + step[:, None] * BRANCHES
-    signs = np.empty((2,) + tangent.shape, dtype=np.int8)
-    signs[0], signs[1] = ~tangent, -1
-    return points, signs, np.array([chord2 >= -TANGENT_EPS, chord2 > TANGENT_EPS])
+    signs = np.empty((2,) + split.shape, dtype=np.int8)
+    signs[0], signs[1] = split, -1
+    return points, signs, np.array([chord2 >= -TANGENT_EPS, split])
 
 
 def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
@@ -301,12 +322,13 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     points, signs, hit = sphere_points(w, m)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     kept = rotations.kept.T
-    residuals = np.full(hit.shape, np.nan)
+    residuals = np.empty(hit.shape)
+    residuals.fill(np.nan)
     verdict = np.zeros(hit.shape, dtype=bool)
     # every slot-0-1 (slot, row) with a sphere point at once; legs are
     # (3, 6, 2, M).  np.take, not fancy indexing: its result keeps the
     # gathered axis last in memory too, so the legs stay components first
-    audit = np.flatnonzero(kept[:2] & hit[0])
+    audit = (kept[:2] & hit[0]).ravel().nonzero()[0]
     legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
                        points.reshape(3, 2, -1).take(audit, axis=2))
     legs *= legs
@@ -317,7 +339,10 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     # slots 2-3 as the mirrors of slots 0-1.  Signs and hit flags are not
     # swapped: at tangency only branch 0 is hit, with sign 0, and both
     # branches hold the one point
-    accepted = np.concatenate([verdict & hit, verdict[::-1] & hit], axis=1) & kept
+    accepted = np.concatenate([verdict, verdict[::-1]], axis=1)
+    pairs = accepted.reshape((2, 2) + hit.shape[1:])  # (branch, mirror, slot 0-1, row)
+    pairs &= hit[:, None]
+    accepted &= kept
     positions = np.concatenate([points, points[:, ::-1]], axis=2)
     # 0.0 - z, not -z: a z that cancels to 0 is +0.0 in the mirror slot too
     z = positions[2, :, 2:]
@@ -325,7 +350,7 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     fields = (orientations.T, positions.T, np.concatenate([signs, signs], axis=1).T,
               np.concatenate([residuals, residuals[::-1]], axis=1).T, accepted.T)
     for x in fields:
-        x.flags.writeable = False
+        x.setflags(write=False)
     return SolutionArrays(rotations, *fields)
 
 

@@ -56,8 +56,8 @@ def leg_vectors(geom: PlatformGeometry, m, position) -> np.ndarray:
     m[0]*x_i + m[1]*y_i + P."""
     m = np.asarray(m, dtype=float)[:, :, None]
     # base coordinates (6, 1, ...) against the batch axes of m
-    x, y = geom.base.T.reshape((2, 6) + (1,) * (m.ndim - 3))
-    return m[0] * x + m[1] * y + np.asarray(position, dtype=float)[:, None]
+    xy = geom.base.T.reshape((2, 6) + (1,) * (m.ndim - 3))
+    return m[0] * xy[0] + m[1] * xy[1] + np.asarray(position, dtype=float)[:, None]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:

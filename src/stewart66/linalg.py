@@ -63,12 +63,12 @@ def lu_factor(m) -> Factorization:
     a = np.array(m, dtype=float)
     if a.shape != (N, N):
         raise ValueError(f"expected a {N}x{N} matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     key = a.tobytes()
     last_key, last = _last
-    if key == last_key:
+    if key == last_key:  # only a finite matrix is kept, so this one is finite
         return last
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     # the arithmetic of np.linalg.norm(a, axis=0), without its wrapper
     norms = np.sqrt(np.add.reduce(a * a, axis=0))
     scale = 1.0 / np.where(norms > 0.0, norms, 1.0)

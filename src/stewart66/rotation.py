@@ -50,18 +50,16 @@ def columns(q, count: int) -> np.ndarray:
     flat = np.asarray(q, dtype=float).reshape(4, -1)
     t = 2.0 * flat[:count + 1]
     p0 = t[0] * flat       # p00 p01 p02 p03
-    p1 = t[1] * flat[2:]   # p12 p13
-    p23 = t[2] * flat[3]
+    # p11 p12 p13, p21 p22 p23 [, p31 p32 p33] in one product; p21, p31, p32 go unused
+    p = (t[1:, None] * flat[1:]).reshape(3 * count, flat.shape[1])
     p0[0] -= 1.0           # p00 - 1, the diagonal's first term
     r = np.empty((3 * count, flat.shape[1]))  # column j, row i at 3j + i
-    np.multiply(t[1:], flat[1:count + 1], out=r[::4])
-    np.add(p0[0], r[::4], out=r[::4])                           # R00 R11 [R22]
-    np.add(p1[0], p0[3], out=r[1])                              # R10
-    np.subtract(p1[::-1], p0[2:4], out=r[2:4])                  # R20 R01
-    np.add(p0[1], p23, out=r[5])                                # R21
+    np.add(p0[0], p[::4], out=r[::4])                           # R00 R11 [R22]
+    np.add(p0[3:0:-2], p[1:6:4], out=r[1:6:4])                  # R10 R21
+    np.subtract(p[2:0:-1], p0[2:4], out=r[2:4])                 # R20 R01
     if count == 3:
-        np.add(p0[2], p1[1], out=r[6])                          # R02
-        np.subtract(p23, p0[1], out=r[7])                       # R12
+        np.add(p0[2], p[2], out=r[6])                           # R02
+        np.subtract(p[5], p0[1], out=r[7])                      # R12
     return r.reshape((count, 3) + np.shape(q)[1:])
 
 
@@ -76,14 +74,21 @@ def canonicalize(q) -> np.ndarray:
     q0 >= 0 representative of {q, -q}, with an exactly zero q0 tied on the
     next component.
     """
-    q = np.array(q, dtype=float)
-    norm = np.sqrt(np.add.reduce(q * q, axis=0))
-    np.divide(q, norm, out=q, where=np.abs(norm - 1.0) > RENORM_TOL)
+    q = _renormalize(np.array(q, dtype=float))
     # 8*s0 outweighs 4*s1 + 2*s2 + s3, so the weighted sum of the signs has
     # the sign of the first nonzero component
     flip = (LEAD_WEIGHTS @ np.sign(q).reshape(4, -1) < 0.0).reshape(q.shape[1:])
     # 0.0 - x instead of -x keeps zero components at +0.0
     np.subtract(0.0, q, out=q, where=flip)
+    return q
+
+
+def _renormalize(q) -> np.ndarray:
+    """q, a float array of quaternion components (4, ...), divided in place
+    by its norm where that is more than RENORM_TOL from 1, as Quaternion
+    does."""
+    norm = np.sqrt(np.add.reduce(q * q, axis=0))
+    np.divide(q, norm, out=q, where=np.abs(norm - 1.0) > RENORM_TOL)
     return q
 
 
