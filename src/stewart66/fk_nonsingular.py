@@ -284,7 +284,8 @@ def sphere_points(w, m):
     chord2 = w1 - np.add.reduce(r0 * r0, axis=0)
     split = chord2 > TANGENT_EPS
     step = n * (np.sqrt(np.where(split, chord2, 0.0)) / np.sqrt(nn))
-    points = r0[:, None] + step[:, None] * BRANCHES
+    points = step[:, None] * BRANCHES
+    points += r0[:, None]
     signs = np.empty((2,) + split.shape, dtype=np.int8)
     signs[0], signs[1] = split, -1
     return points, signs, np.array([chord2 >= -TANGENT_EPS, split])
@@ -332,8 +333,9 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
                        points.reshape(3, 2, -1).take(audit, axis=2))
     legs *= legs
-    audited = np.sqrt(np.add.reduce(legs, axis=0))
-    residual = np.abs(audited - lengths[:, None, None]).max(axis=0)
+    audited = np.sqrt(np.add.reduce(legs, axis=0), out=legs[0])
+    gaps = audited - lengths[:, None, None]
+    residual = np.abs(gaps, out=gaps).max(axis=0)
     residuals.reshape(2, -1)[:, audit] = residual
     verdict.reshape(2, -1)[:, audit] = (residual <= tol) & (audited >= MIN_LEG_LENGTH).all(axis=0)
     # slots 2-3 as the mirrors of slots 0-1.  Signs and hit flags are not

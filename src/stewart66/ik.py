@@ -57,7 +57,9 @@ def leg_vectors(geom: PlatformGeometry, m, position) -> np.ndarray:
     m = np.asarray(m, dtype=float)[:, :, None]
     # base coordinates (6, 1, ...) against the batch axes of m
     xy = geom.base.T.reshape((2, 6) + (1,) * (m.ndim - 3))
-    return m[0] * xy[0] + m[1] * xy[1] + np.asarray(position, dtype=float)[:, None]
+    legs = m[0] * xy[0]
+    legs += m[1] * xy[1]
+    return legs + np.asarray(position, dtype=float)[:, None]
 
 
 def leg_lengths(geom: PlatformGeometry, pose: Pose) -> np.ndarray:
