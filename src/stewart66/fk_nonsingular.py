@@ -31,7 +31,7 @@ from .rotation import Quaternion, _renormalize, canonicalize, columns
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
-# Squared half-chord below this collapses the two sphere points into one.
+# Squared half-chord below minus this leaves the sphere and its line apart.
 TANGENT_EPS = 1e-10
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
@@ -281,8 +281,12 @@ def sphere_points(w, m):
     x -= w3 * u
     r0 = _cross(x, n)
     r0 /= nn
-    chord2 = w1 - np.add.reduce(r0 * r0, axis=0)
-    split = chord2 > TANGENT_EPS
+    rr = np.add.reduce(r0 * r0, axis=0)
+    chord2 = w1 - rr
+    # the two points split where chord2 is more than its rounding: a few
+    # ulps of the terms it is the difference of, as rotation_candidates
+    # snaps its squares
+    split = chord2 > 8.0 * EPS * (np.abs(w1) + rr)
     step = n * (np.sqrt(np.where(split, chord2, 0.0)) / np.sqrt(nn))
     points = step[:, None] * BRANCHES
     points += r0[:, None]

@@ -27,8 +27,12 @@ CLAMP_TOL = 1e-10
 UNIT_TOL = 1e-6
 # Candidates closer than this are the same root.
 DEDUP_TOL = 1e-9
-# Squared half-chord below this collapses the two sphere points into one.
+# Squared half-chord below minus this leaves the sphere and its line apart.
 TANGENT_EPS = 1e-10
+# Up to this many machine epsilons of |w1| + |r0|^2, the squared half-chord
+# is rounding and the two sphere points are one.
+TANGENT_ULPS = 8.0
+EPS = float(np.finfo(float).eps)
 # Returned solutions must reproduce the input lengths this well (relative).
 RESIDUAL_TOL = 1e-8
 # Parameter values the feasibility scan tries over its window.
@@ -117,7 +121,7 @@ def sphere_points(w, q, geom):
     chord2 = w1 - float(r0 @ r0)
     if chord2 < -TANGENT_EPS:
         return []
-    if chord2 <= TANGENT_EPS:
+    if chord2 <= TANGENT_ULPS * EPS * (abs(w1) + float(r0 @ r0)):
         return [(r0, 0)]
     t = math.sqrt(chord2)
     return [(r0 + t * cr / norm_cr, 1), (r0 - t * cr / norm_cr, -1)]

@@ -430,11 +430,39 @@ def test_mirror_slots_at_tangency_match_the_oracle(top, rng):
             assert batch.accepted[0, k].tolist() == oks + [False] * (2 - len(points))
             for b, (point, sign, residual, ok) in enumerate(points):
                 assert batch.signs[0, k, b] == sign
-                assert np.abs(batch.positions[0, k, b] - point).max() <= 1e-9
+                # at tangency chord^2 is rounding, up to the snap bound, so a
+                # split point lies up to its square root off the tangency point
+                split = math.sqrt(oracle.TANGENT_ULPS * oracle.EPS * (abs(w[0]) + point @ point))
+                assert np.abs(batch.positions[0, k, b] - point).max() <= 1e-9 + split
                 if ok:
                     assert abs(batch.residuals[0, k, b] - residual) <= 1e-12
         tangent += int((batch.accepted[0, :, 0] & (batch.signs[0, :, 0] == 0)).sum())
     assert tangent >= 20  # the pose's slot and its mirror, in every design
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-4, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7])
+def test_poses_near_tangency_keep_both_sphere_points(c, rng):
+    # each pose sits c along its position line from the line's point nearest
+    # the origin.  chord^2 = c^2 is known to its rounding, about
+    # 8 * eps * (w1 + |r0|^2): beyond four times that the two sphere points
+    # stay apart and all eight poses come back, the seed within the split's
+    # rounding; inside it the one tangency point is c from the seed
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.5)
+    eps = np.finfo(float).eps
+    for _ in range(3):
+        q = random_unit_quaternion(rng)
+        n = np.cross(*plane_map(geom, to_matrix(q)[:, :2].T))
+        r0 = rng.uniform(-1.0, 1.0, 3)
+        r0 -= (r0 @ n) / (n @ n) * n
+        pose = Pose(q, r0 + c * n / np.linalg.norm(n))
+        solutions = fk_solve(geom, leg_lengths(geom, pose))
+        miss = min(pose_gap(s.pose, pose) for s in solutions)
+        if c * c > 4.0 * 8.0 * eps * (pose.position @ pose.position + r0 @ r0):
+            assert len(solutions) == 8
+            assert miss <= 5e-8
+        else:
+            assert len(solutions) >= 4
+            assert miss <= c + 5e-8
 
 
 @pytest.mark.parametrize("top", [None, "random"], ids=["identity", "random"])

@@ -395,6 +395,30 @@ def test_circle_near_the_base_origin_keeps_its_seed(gap):
     assert_ends_admit_poses(system, geom, intervals)
 
 
+@pytest.mark.parametrize("radius", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_a_small_origin_centred_circle_keeps_its_seed(radius):
+    # the identity pose at height r over a circle of radius r: w1 = r^2
+    # sits where the sphere touches the position line to within chord^2's
+    # rounding, which must split into the seed and its mirror, not snap to
+    # P = 0 or find no point
+    t = np.array([0.3, 1.2, 2.2, 3.3, 4.2, 5.4])
+    geom = PlatformGeometry(base=radius * np.column_stack([np.cos(t), np.sin(t)]), mu=0.5)
+    pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), np.array([0.0, 0.0, radius]))
+    lengths = leg_lengths(geom, pose)
+    poses = recover_poses(geom, w_from_pose(geom, pose), lengths)
+    assert len(poses) == 2
+    for solution, z in zip(poses, (radius, -radius)):
+        assert solution.pose.orientation.as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert np.abs(solution.pose.position - [0.0, 0.0, z]).max() <= 1e-12 * radius
+    system = build_singular_system(geom, lengths)
+    assert system.parameterizable_by_w1
+    intervals = feasible_interval(system, geom, 5.0)
+    assert len(intervals) == 1
+    lo, hi = intervals[0]
+    assert lo == 0.0
+    assert hi == pytest.approx(radius ** 2, rel=1e-12)
+
+
 def test_an_interval_narrower_than_a_scan_spacing_is_found():
     # the seed's interval is 1.0e-3 wide, a fifth of the spacing of a
     # 1000-point scan over [0, 5], which finds no interval at all
