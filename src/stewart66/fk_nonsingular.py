@@ -187,7 +187,7 @@ def _cross(a, b) -> np.ndarray:
     # row pairs (a1, a2) * (b2, b0) and (a2, a0) * (b1, b2); then component 2
     c = np.empty(a.shape)
     np.subtract(a[1:] * b[::-2], a[::-2] * b[1:], out=c[:2])
-    np.subtract(a[0] * b[1], a[1] * b[0], out=c[2])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=c[2:])
     return c
 
 

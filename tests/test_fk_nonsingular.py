@@ -28,7 +28,7 @@ from stewart66.geometry import (ORTHOGONALITY_TOL, PlatformGeometry, build_q,
                                 factor_for_rank)
 from stewart66.ik import (MAX_LENGTH, MIN_LEG_LENGTH, Pose, d_from_lengths, leg_lengths,
                           leg_vectors, plane_map, w_from_pose)
-from stewart66.rotation import Quaternion, canonicalize, columns, to_matrix
+from stewart66.rotation import RENORM_TOL, Quaternion, canonicalize, columns, to_matrix
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -540,6 +540,113 @@ def test_prepared_length_shift_is_the_formula_to_the_byte(rng):
         lengths = rng.uniform(0.5, 2.0, 6)
         expected = lengths * lengths - (1.0 + geom.mu ** 2) * r2
         assert d_from_lengths(geom, lengths).tobytes() == expected.tobytes()
+
+
+def test_cross_is_np_cross_to_the_byte(rng):
+    # the kernel's cross product on (component, slot, row) blocks against
+    # numpy's, which forms each component as a1*b2 - a2*b1 too
+    a, b = rng.normal(size=(2, 3, 2, 500)) * 10.0 ** rng.uniform(-8, 8, (2, 1, 2, 500))
+    a[:, :, ::7] = 0.0
+    b[1, 1, ::5] = -0.0
+    for x, y in ((a, b), (a[:, 0, 0], b[:, 0, 0]), (a, a)):
+        expected = np.cross(x, y, axisa=0, axisb=0, axisc=0)
+        assert fk_nonsingular._cross(x, y).tobytes() == expected.tobytes()
+
+
+def written_out_candidates(w, mu):
+    """The rotation stage for one row w in Python floats, step by step as
+    its docstring states it: squares, snapped roots, the product
+    constraint, then each sign pattern of SIGNS canonicalized as
+    Quaternion renormalizes and canonicalize flips, zeros at +0.0."""
+    w4, w5, w6 = w[3:]
+    alpha, beta = (w4 - w6) / (4.0 * mu), -w5 / (8.0 * mu)
+    gamma = float(np.hypot(alpha, 2.0 * beta))
+    scale = 1.0 + (abs(w4) + abs(w5) + abs(w6)) / (4.0 * mu) + gamma
+    half = w4 / (4.0 * mu)
+    s1, s2 = (gamma - alpha) / 2.0, (gamma + alpha) / 2.0
+    squares = [(0.5 - half) - s1, s1, s2, (0.5 + half) - s2]
+    floor = 8.0 * float(np.finfo(float).eps) * scale
+    q0, q1, q2, q3 = [math.sqrt(x) if x > floor else 0.0 for x in squares]
+    if max(q1, q2) > 0.0:
+        if q1 <= q2:
+            q1 = abs(beta) / q2
+        else:
+            q2 = abs(beta) / q1
+    if beta < 0.0:
+        q1 = -q1
+    fits = all(x >= -CLAMP_TOL for x in squares)
+    if not fits:
+        q0, q1, q2, q3 = 0.0, 0.0, 0.0, 1.0
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if abs(norm - 1.0) > RENORM_TOL:
+        q0, q1, q2, q3 = q0 / norm, q1 / norm, q2 / norm, q3 / norm
+    slots = []
+    for signs in fk_nonsingular.SIGNS[:, :, 0].T.tolist():
+        slot = [s * x for s, x in zip(signs, (q0, q1, q2, q3))]
+        if next((x for x in slot if x != 0.0), 0.0) < 0.0:
+            slot = [0.0 - x for x in slot]
+        slots.append([x + 0.0 for x in slot])
+    return squares, fits, slots
+
+
+def test_rotation_candidates_are_the_written_out_steps_to_the_byte(rng):
+    # random rows, every zero pattern of the components, and rows no
+    # rotation fits, at three mu
+    for mu in (0.05, 0.5, 0.95):
+        rows = np.zeros((1000, 6))
+        rows[:, 3:] = np.concatenate([zero_pattern_rows(rng, draws=4), rng.normal(size=(640, 3))])[:1000]
+        rows[:, 3:] *= -2.0 * mu
+        rows[-100:, 3:] *= 3.0  # no unit quaternion fits most of these
+        # w5 = +0.0 makes beta -0.0, which must leave q1's sign alone
+        rows[::7, 4] = 0.0
+        batch = rotation_candidates(rows, mu)
+        for row, quaternions, fits, squares in zip(rows, batch.quaternions, batch.fits,
+                                                   batch.squares):
+            expected_squares, expected_fits, slots = written_out_candidates(row.tolist(), mu)
+            assert squares.tobytes() == np.array(expected_squares).tobytes()
+            assert fits == expected_fits
+            assert quaternions.tobytes() == np.array(slots).tobytes()
+
+
+def written_out_sphere_points(w, m):
+    """sphere_points for one row w and one plane map m (2, 3), in the order
+    its docstring forms them; sums of squares add left to right."""
+    w1, w2, w3 = w[:3]
+    u, v = 2.0 * m[0], 2.0 * m[1]
+    n = np.cross(u, v)
+    nn = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+    r0 = np.cross(w2 * v - w3 * u, n) / nn
+    rr = r0[0] * r0[0] + r0[1] * r0[1] + r0[2] * r0[2]
+    chord2 = w1 - rr
+    split = chord2 > 8.0 * np.finfo(float).eps * (abs(w1) + rr)
+    step = n * (math.sqrt(chord2 if split else 0.0) / math.sqrt(nn))
+    return [r0 + step, r0 - step], [int(split), -1], [chord2 >= -fk_nonsingular.TANGENT_EPS, split]
+
+
+def test_sphere_points_are_the_written_out_steps_to_the_byte(rng):
+    # plane maps of random rotations, and w whose sphere meets or misses
+    # the line; in every third row it touches the line's point nearest
+    # the origin to rounding, where chord^2 falls within the snap bound, and
+    # in the next it passes 1e-6 from that point, chord^2 1e-12 beyond it
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.4)
+    q = rng.normal(size=(4, 2, 300))
+    m = plane_map(geom, columns(q / np.linalg.norm(q, axis=0), 2))
+    w = rng.normal(size=(300, 6))
+    for i in range(0, 300, 3):
+        for row, chord2 in ((i, 0.0), (i + 1, 1e-12)):
+            u, v = 2.0 * m[:, :, 0, row]
+            n = np.cross(u, v)
+            r0 = np.cross(w[row, 1] * v - w[row, 2] * u, n) / (n @ n)
+            w[row, 0] = r0 @ r0 + chord2
+    points, signs, hit = sphere_points(w, m)
+    assert 10 <= np.count_nonzero(hit[0] & (signs[0] == 0)) <= 100
+    assert np.count_nonzero(signs[0, 0, 1::3] == 1) == 100
+    for k in range(2):
+        for i in range(300):
+            expected, sign, expected_hit = written_out_sphere_points(w[i], m[:, :, k, i])
+            assert points[:, :, k, i].T.tobytes() == np.array(expected).tobytes()
+            assert signs[:, k, i].tolist() == sign
+            assert hit[:, k, i].tolist() == expected_hit
 
 
 def test_kernel_plane_maps_are_to_matrix_columns_to_the_byte(rng):

@@ -40,6 +40,21 @@ def test_leg_vector_quarter_turn(hexagon_geometry):
     assert np.allclose(vecs[:, 0], [-1.0, 0.5, 0.0])
 
 
+def test_leg_vectors_are_the_written_out_sum_to_the_byte(rng):
+    # leg i of each plane map and position is (m0 * x_i + m1 * y_i) + P,
+    # component by component, in the audit's shapes
+    geom = PlatformGeometry(base=random_generic_base(rng), mu=0.4)
+    maps = rng.normal(size=(2, 3, 1, 50))
+    positions = rng.normal(size=(3, 2, 50)) * 10.0 ** rng.uniform(-6, 3, (1, 2, 50))
+    legs = leg_vectors(geom, maps, positions)
+    for b in range(2):
+        for k in range(50):
+            (m0, m1), p = maps[:, :, 0, k].tolist(), positions[:, b, k].tolist()
+            expected = [[(m0[c] * x + m1[c] * y) + p[c] for x, y in geom.base.tolist()]
+                        for c in range(3)]
+            assert legs[:, :, b, k].tobytes() == np.array(expected).tobytes()
+
+
 def test_stacked_leg_vectors_match_one_pose_at_a_time(rng):
     # the audit's shapes, components first: plane maps (2, 3, 1, M) against
     # positions (3, 2, M)

@@ -9,8 +9,8 @@ import scalar_oracle as oracle
 from helpers import hexagon_base, random_unit_quaternion
 from stewart66.errors import NotUnit
 from stewart66.geometry import ORTHOGONALITY_TOL, PlatformGeometry
-from stewart66.rotation import (RENORM_TOL, Quaternion, canonicalize, columns, from_matrix,
-                                to_matrix)
+from stewart66.rotation import (RENORM_TOL, Quaternion, _renormalize, canonicalize, columns,
+                                from_matrix, to_matrix)
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -90,6 +90,23 @@ def test_canonicalize_breaks_zero_q0_tie():
     q = canonicalize(np.array([[0.0, -1, 0, 0], [0.0, 0, 0, -1]]).T)
     assert q.T.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1]]
     assert str(q[0, 0]) == "0.0"  # no -0.0 left behind
+
+
+def test_renormalize_is_the_quaternion_rule_to_the_byte(rng):
+    # the norm's squares added left to right, and a division only beyond
+    # RENORM_TOL, as Quaternion does for one quaternion
+    q = rng.normal(size=(4, 3, 400))
+    q /= np.sqrt((q * q).sum(axis=0))
+    q *= 1.0 + rng.choice([0.0, 1e-15, -3e-14, 2e-13, -1e-10, 1e-6], size=(3, 400))
+    q[:, 0, ::4] = 0.0
+    q[0, 0, ::4] = 1.0
+    out = _renormalize(q.copy())
+    for expected, got in zip(q.reshape(4, -1).T.tolist(), out.reshape(4, -1).T):
+        q0, q1, q2, q3 = expected
+        norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+        if abs(norm - 1.0) > RENORM_TOL:
+            expected = [x / norm for x in expected]
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 # norms 1e-16 to 1e-7 off unit, either way: both sides of RENORM_TOL
