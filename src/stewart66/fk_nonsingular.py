@@ -27,7 +27,7 @@ from . import linalg
 from .errors import ValidationError
 from .geometry import PlatformGeometry, build_q, factor_for_rank
 from .ik import MIN_LEG_LENGTH, Pose, check_lengths, d_from_lengths, leg_vectors, plane_map
-from .rotation import Quaternion, _renormalize, canonicalize, columns
+from .rotation import LEAD_WEIGHTS, Quaternion, _renormalize, canonicalize, columns
 
 # Squared quaternion components this far below zero are rounding noise.
 CLAMP_TOL = 1e-10
@@ -49,10 +49,9 @@ MAX_W = 2.0 ** 340
 # jointly, q3 on its own.
 SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                   [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
-# Row k is rotation.LEAD_WEIGHTS times SIGNS[:, k]: with it canonicalize's
-# lead-sign test reads every slot off the signs of one quaternion.
-SLOT_LEADS = np.array([[8.0, 4.0, 2.0, 1.0], [8.0, 4.0, 2.0, -1.0],
-                       [8.0, -4.0, -2.0, 1.0], [8.0, -4.0, -2.0, -1.0]])
+# Row k is LEAD_WEIGHTS times SIGNS[:, k]: with it canonicalize's lead-sign
+# test reads every slot off the signs of one quaternion.
+SLOT_LEADS = LEAD_WEIGHTS * SIGNS[:, :, 0].T
 # Negates the first of two rows.
 MINUS_PLUS = np.array([-1.0, 1.0])[:, None]
 # The quaternion of a half turn about z, as one column.
