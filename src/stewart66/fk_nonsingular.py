@@ -52,6 +52,9 @@ SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
 # Row k is LEAD_WEIGHTS times SIGNS[:, k]: with it canonicalize's lead-sign
 # test reads every slot off the signs of one quaternion.
 SLOT_LEADS = LEAD_WEIGHTS * SIGNS[:, :, 0].T
+# Rows 1, 2, 0, 1 of a vector: two shifted views of them pair every
+# component with the next two.
+ROLL = np.array([1, 2, 0, 1])
 # Negates the first of two rows.
 MINUS_PLUS = np.array([-1.0, 1.0])[:, None]
 # The quaternion of a half turn about z, as one column.
@@ -181,12 +184,11 @@ def _fill(cls, *columns) -> list:
 
 
 def _cross(a, b) -> np.ndarray:
-    # a x b, components first, each component one block of the batch:
-    # components 0 and 1, a1*b2 - a2*b1 and a2*b0 - a0*b2, in one pass over
-    # row pairs (a1, a2) * (b2, b0) and (a2, a0) * (b1, b2); then component 2
-    c = np.empty(a.shape)
-    np.subtract(a[1:] * b[::-2], a[::-2] * b[1:], out=c[:2])
-    np.subtract(a[0] * b[1], a[1] * b[0], out=c[2:])
+    # a x b for a and b given as their rows (1, 2, 0, 1), ROLL, components
+    # first: component i is a[i+1] * b[i+2] - a[i+2] * b[i+1], for i = 0, 1, 2
+    # at once, as two products of shifted views
+    c = a[:3] * b[1:]
+    c -= a[1:] * b[:3]
     return c
 
 
@@ -271,14 +273,16 @@ def sphere_points(w, m):
     """
     wt = np.asarray(w, dtype=float).T
     w1, w2, w3 = wt[0], wt[1], wt[2]
-    uv = 2.0 * m
+    # u and v as their rows ROLL, so w2 * v - w3 * u comes out rolled too
+    uv = m.take(ROLL, axis=1)
+    uv *= 2.0
     u, v = uv[0], uv[1]
     n = _cross(u, v)
     # add.reduce over the leading component axis adds the squares left to right
     nn = np.add.reduce(n * n, axis=0)
     x = w2 * v
     x -= w3 * u
-    r0 = _cross(x, n)
+    r0 = _cross(x, n.take(ROLL, axis=0))
     r0 /= nn
     rr = np.add.reduce(r0 * r0, axis=0)
     chord2 = w1 - rr

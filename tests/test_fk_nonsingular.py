@@ -543,14 +543,16 @@ def test_prepared_length_shift_is_the_formula_to_the_byte(rng):
 
 
 def test_cross_is_np_cross_to_the_byte(rng):
-    # the kernel's cross product on (component, slot, row) blocks against
-    # numpy's, which forms each component as a1*b2 - a2*b1 too
+    # the kernel's cross product of rolled rows, on (component, slot, row)
+    # blocks, against numpy's, which forms each component as a1*b2 - a2*b1 too
     a, b = rng.normal(size=(2, 3, 2, 500)) * 10.0 ** rng.uniform(-8, 8, (2, 1, 2, 500))
     a[:, :, ::7] = 0.0
     b[1, 1, ::5] = -0.0
+    roll = fk_nonsingular.ROLL
     for x, y in ((a, b), (a[:, 0, 0], b[:, 0, 0]), (a, a)):
         expected = np.cross(x, y, axisa=0, axisb=0, axisc=0)
-        assert fk_nonsingular._cross(x, y).tobytes() == expected.tobytes()
+        got = fk_nonsingular._cross(x.take(roll, axis=0), y.take(roll, axis=0))
+        assert got.tobytes() == expected.tobytes()
 
 
 def written_out_candidates(w, mu):
