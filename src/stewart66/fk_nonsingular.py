@@ -51,10 +51,10 @@ SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                   [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
 # Row k is LEAD_WEIGHTS times SIGNS[:, k]: with it canonicalize's lead-sign
 # test reads every slot off the signs of one quaternion.
-SLOT_LEADS = LEAD_WEIGHTS * SIGNS[:, :, 0].T
+_SLOT_LEADS = LEAD_WEIGHTS * SIGNS[:, :, 0].T
 # Rows 1, 2, 0, 1 of a vector: two shifted views of them pair every
 # component with the next two.
-ROLL = np.array([1, 2, 0, 1])
+_ROLL = np.array([1, 2, 0, 1])
 # Negates the first of two rows.
 MINUS_PLUS = np.array([-1.0, 1.0])[:, None]
 # The quaternion of a half turn about z, as one column.
@@ -184,7 +184,7 @@ def _fill(cls, *columns) -> list:
 
 
 def _cross(a, b) -> np.ndarray:
-    # a x b for a and b given as their rows (1, 2, 0, 1), ROLL, components
+    # a x b for a and b given as their rows (1, 2, 0, 1), _ROLL, components
     # first: component i is a[i+1] * b[i+2] - a[i+2] * b[i+1], for i = 0, 1, 2
     # at once, as two products of shifted views
     c = a[:3] * b[1:]
@@ -245,8 +245,8 @@ def rotation_candidates(w, mu: float) -> RotationCandidates:
     q = _renormalize(np.where(fits, q, HALF_TURN))
     # canonicalize each slot, SIGNS[:, k] * q, from q once: the norm is the
     # same in every slot, and the lead sign canonicalize reads is
-    # LEAD_WEIGHTS @ (SIGNS[:, k] * sign(q)) = SLOT_LEADS[k] @ sign(q)
-    flip = SLOT_LEADS @ np.sign(q) < 0.0
+    # LEAD_WEIGHTS @ (SIGNS[:, k] * sign(q)) = _SLOT_LEADS[k] @ sign(q)
+    flip = _SLOT_LEADS @ np.sign(q) < 0.0
     quaternions = q[:, None, :] * SIGNS  # (component, slot, row)
     np.subtract(0.0, quaternions, out=quaternions, where=flip)
     quaternions += 0.0  # the zeros SIGNS negated are +0.0 again
@@ -273,8 +273,8 @@ def sphere_points(w, m):
     """
     wt = np.asarray(w, dtype=float).T
     w1, w2, w3 = wt[0], wt[1], wt[2]
-    # u and v as their rows ROLL, so w2 * v - w3 * u comes out rolled too
-    uv = m.take(ROLL, axis=1)
+    # u and v as their rows _ROLL, so w2 * v - w3 * u comes out rolled too
+    uv = m.take(_ROLL, axis=1)
     uv *= 2.0
     u, v = uv[0], uv[1]
     n = _cross(u, v)
@@ -282,7 +282,7 @@ def sphere_points(w, m):
     nn = np.add.reduce(n * n, axis=0)
     x = w2 * v
     x -= w3 * u
-    r0 = _cross(x, n.take(ROLL, axis=0))
+    r0 = _cross(x, n.take(_ROLL, axis=0))
     r0 /= nn
     rr = np.add.reduce(r0 * r0, axis=0)
     chord2 = w1 - rr

@@ -548,7 +548,7 @@ def test_cross_is_np_cross_to_the_byte(rng):
     a, b = rng.normal(size=(2, 3, 2, 500)) * 10.0 ** rng.uniform(-8, 8, (2, 1, 2, 500))
     a[:, :, ::7] = 0.0
     b[1, 1, ::5] = -0.0
-    roll = fk_nonsingular.ROLL
+    roll = fk_nonsingular._ROLL
     for x, y in ((a, b), (a[:, 0, 0], b[:, 0, 0]), (a, a)):
         expected = np.cross(x, y, axisa=0, axisb=0, axisc=0)
         got = fk_nonsingular._cross(x.take(roll, axis=0), y.take(roll, axis=0))
