@@ -16,7 +16,6 @@ feasible_interval are one batch over their parameter values.
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -130,39 +129,14 @@ class SolutionArrays:
         lead = per.nonzero()[0]
         plates = self.orientations.reshape(-1, 4).take(lead, axis=0)
         positions = self.positions.reshape(-1, 3).take(points, axis=0)
-        with _collector_paused():
-            # one Quaternion per candidate, repeated for each of its points
-            shared = np.fromiter(_fill(Quaternion, *plates.T.tolist()), object, len(lead))
-            found = _fill(FkSolution, _fill(Pose, shared.repeat(per[lead]).tolist(), list(positions)),
-                          self.rotations.kept.cumsum(axis=1).take(candidates).tolist(),
-                          self.signs.take(points).tolist(), self.residuals.take(points).tolist())
+        # one Quaternion per candidate, repeated for each of its points
+        shared = np.fromiter(_fill(Quaternion, *plates.T.tolist()), object, len(lead))
+        found = _fill(FkSolution, _fill(Pose, shared.repeat(per[lead]).tolist(), list(positions)),
+                      self.rotations.kept.cumsum(axis=1).take(candidates).tolist(),
+                      self.signs.take(points).tolist(), self.residuals.take(points).tolist())
         # points run row by row, so each row's solutions are one slice
         stops = per.cumsum()[3::4].tolist()
         return list(map(found.__getitem__, map(slice, [0, *stops], stops)))
-
-
-class _collector_paused:
-    """A with block in which the cyclic garbage collector does not run.
-
-    The result objects hold floats, ints, arrays, tuples, lists and one
-    another, so they form no cycle and a collection during their build
-    frees nothing; without the pause, the thousands a sweep makes set off
-    one such collection after another.  The collector is on again after
-    the block only if it was on before it, so nested blocks leave it as the
-    outermost one found it.  A class, because a contextlib generator costs
-    every fk_solve over three times as much (1.7 against 0.5 us a block on
-    CPython 3.11, 2-core x86 host).
-    """
-
-    __slots__ = ("was_on",)
-
-    def __enter__(self):
-        self.was_on = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc_info):
-        if self.was_on:
-            gc.enable()
 
 
 # Runs an iterator to its end and keeps nothing of it.

@@ -13,6 +13,7 @@ polynomials in the parameter and confirms them with one batch.
 
 from __future__ import annotations
 
+import gc
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, ValidationError, _float_array, _real
-from .fk_nonsingular import MAX_W, SolutionArrays, _collector_paused, _fill, solution_arrays
+from .fk_nonsingular import MAX_W, SolutionArrays, _fill, solution_arrays
 from .geometry import ConicReport, PlatformGeometry, build_q, conic_report, factor_for_rank
 from .ik import check_lengths, d_from_lengths
 
@@ -185,10 +186,19 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     residual = np.where(batch.accepted, batch.residuals, -np.inf).max(axis=(1, 2))
     residual[~feasible] = np.nan
     steps = _steps(batch)
-    with _collector_paused():
+    # the cyclic collector is off while the results are built: they hold
+    # floats, ints, arrays, tuples, lists and one another, so they form no
+    # cycle and a collection frees nothing, yet the thousands a sweep makes
+    # would set off one collection after another
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
         return _fill(SingularCurveSample, grid.tolist(), list(w), list(map(tuple, batch.solutions())),
                      feasible.tolist(), residual.tolist(),
                      np.where(np.isnan(steps), None, steps).tolist())
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def _breakpoints(system: SingularSystem, mu: float) -> np.ndarray:

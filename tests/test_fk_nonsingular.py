@@ -1186,18 +1186,22 @@ def test_solutions_and_fk_solve_leave_the_collector_as_they_found_it(
     assert gc.isenabled() is collector
 
 
-def fill_fails(cls, *columns):
-    raise MemoryError("no room for the objects")
+def collector_switched(*args):
+    raise AssertionError("the collector was switched")
 
 
-def test_solutions_that_raise_leave_the_collector_as_they_found_it(
-        collector, hexagon_geometry, monkeypatch):
-    batch = resting_hexagon_batch(hexagon_geometry)
-    # raised inside the build, while the collector is paused
-    monkeypatch.setattr(fk_nonsingular, "_fill", fill_fails)
-    with pytest.raises(MemoryError):
-        batch.solutions()
-    assert gc.isenabled() is collector
+def test_fk_solve_recover_poses_and_solutions_leave_the_collector_alone(
+        hexagon_geometry, perturbed_geometry, rng, monkeypatch):
+    # only sweep pauses the collector; these never switch it, not even on 1001 rows
+    monkeypatch.setattr(gc, "disable", collector_switched)
+    monkeypatch.setattr(gc, "enable", collector_switched)
+    lengths = leg_lengths(perturbed_geometry, random_feasible_pose(perturbed_geometry, rng))
+    assert fk_solve(perturbed_geometry, lengths)
+    system = build_singular_system(hexagon_geometry, np.full(6, math.sqrt(1.25)))
+    assert recover_poses(hexagon_geometry, w_at(system, 0.5), system.lengths)
+    batch = solution_arrays(hexagon_geometry, w_at(system, np.linspace(0.1, 0.9, 1001)),
+                            system.lengths)
+    assert all(batch.solutions())
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1001])

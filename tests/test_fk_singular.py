@@ -187,6 +187,19 @@ def test_sweep_leaves_the_collector_as_it_found_it(collector, hexagon_geometry, 
     assert gc.isenabled() is collector
 
 
+def fill_fails(cls, *columns):
+    raise MemoryError("no room for the objects")
+
+
+def test_a_sweep_that_raises_leaves_the_collector_as_it_found_it(
+        collector, hexagon_geometry, resting_system, monkeypatch):
+    # raised inside the build, while the collector is paused
+    monkeypatch.setattr(fk_singular, "_fill", fill_fails)
+    with pytest.raises(MemoryError):
+        sweep(resting_system, hexagon_geometry, 0.0, 1.2, 101)
+    assert gc.isenabled() is collector
+
+
 # with the collector off throughout, a cycle the sweep made would be left
 # for the second collect to find
 @pytest.mark.parametrize("collector", [False], indirect=True)
