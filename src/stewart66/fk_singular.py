@@ -212,9 +212,17 @@ def _breakpoints(system: SingularSystem, mu: float) -> np.ndarray:
     is the same for every candidate and positive definite where one fits,
     so chord^2 has the sign of 4 det(g) w1 - (w2^2 g22 - w2 w3 w5 + w3^2 g11).
     A double root that rounding splits into a complex pair keeps its real part.
+
+    The polynomials are expanded about t0, the family point with the
+    smallest rotation block w4..w6, which every pose needs of order mu;
+    about the particular solution, whose block grows as 1 / r^2 on a base
+    of radius r, their coefficients cancel.  null_dir[3:] is nonzero at
+    rank 5: a conic with no quadratic part is a line, of rank 3.
     """
-    # w_i(t) as the coefficients (null_dir[i], particular[i]), highest first
-    w1, w2, w3, w4, w5, w6 = np.column_stack([system.null_dir, system.particular])
+    p, n = system.particular, system.null_dir
+    t0 = -(p[3:] @ n[3:]) / (n[3:] @ n[3:])
+    # w_i(t0 + x) as the coefficients (n[i], p[i] + t0 * n[i]) in x, highest first
+    w1, w2, w3, w4, w5, w6 = np.column_stack([n, p + t0 * n])
     shift, bound = [0.0, 1.0 + mu * mu], [0.0, 4.0 * mu]
     g11, g22, q0_side, q3_side = w4 + shift, w6 + shift, w4 + w6 - bound, w4 + w6 + bound
     spread = np.convolve(w4 - w6, w4 - w6) + np.convolve(w5, w5)
@@ -223,7 +231,7 @@ def _breakpoints(system: SingularSystem, mu: float) -> np.ndarray:
              - np.convolve(np.convolve(w3, w3), g11))
     polynomials = (q0_side, q3_side, np.convolve(q0_side, q0_side) - spread,
                    np.convolve(q3_side, q3_side) - spread, cubic)
-    return np.concatenate([np.roots(p) for p in polynomials]).real
+    return np.concatenate([np.roots(c) for c in polynomials]).real + t0
 
 
 def feasible_interval(system: SingularSystem, geom: PlatformGeometry,

@@ -376,19 +376,45 @@ def random_conic_base(rng, kind):
     return centre + radius * np.column_stack([np.cos(t), np.sin(t)])
 
 
+# the base is scaled by 10^scale: on small bases the particular solution's
+# rotation block grows as 1 / r^2 while the seed's stays of order mu
 @given(kind=st.sampled_from(["circle", "ellipse", "origin"]), turned=st.booleans(),
-       mu=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
-def test_feasible_set_holds_the_seed_and_its_ends_admit_poses(kind, turned, mu, seed):
+       mu=st.floats(0.05, 0.95), scale=st.floats(-5.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_feasible_set_holds_the_seed_and_its_ends_admit_poses(kind, turned, mu, scale, seed):
     rng = np.random.default_rng(seed)
-    geom = PlatformGeometry(base=random_conic_base(rng, kind), mu=mu,
+    geom = PlatformGeometry(base=10.0 ** scale * random_conic_base(rng, kind), mu=mu,
                             top_transform=random_rotation(rng) if turned else None)
     pose = Pose(random_unit_quaternion(rng), rng.uniform(-1.0, 1.0, 3))
     system = build_singular_system(geom, leg_lengths(geom, pose))
     assert system.parameterizable_by_w1 == (kind != "origin")
     s = seed_parameter(system, geom, pose)
     intervals = feasible_interval(system, geom, 2.0 * abs(s) + 1.0)
-    assert any(lo <= s <= hi for lo, hi in intervals)
+    # a seed the kernel itself rejects at w_at(s) cannot be asked of the intervals
+    if solution_arrays(geom, w_at(system, s)[None], system.lengths).feasible[0]:
+        slack = 1e-12 * (1.0 + abs(s))
+        assert any(lo - slack <= s <= hi + slack for lo, hi in intervals)
     assert np.all(np.diff(np.ravel(intervals)) >= 0.0)
+    assert_ends_admit_poses(system, geom, intervals)
+
+
+def test_a_small_ellipse_keeps_its_seed():
+    # a base of radius about 1.4e-4: expanded about the particular solution,
+    # whose w4..w6 reach 4e7, the breakpoints missed this 2e-9 wide set
+    base = np.array([[1.3765055783161007e-4, -6.242383345255993e-6],
+                     [2.3991860815643052e-5, 9.510026643021808e-5],
+                     [-1.1826740715158011e-4, 3.799893542899372e-5],
+                     [-1.4099296754904847e-4, -7.4106576767188746e-6],
+                     [-9.407734636381144e-5, -8.081046570248187e-5],
+                     [1.0716673206650291e-4, -4.898519252692056e-5]])
+    geom = PlatformGeometry(base=base, mu=0.5419799331681693)
+    pose = Pose(Quaternion(0.2932188826576142, -0.5737408114467123, -0.10349818280158149,
+                           0.7577151801899304),
+                np.array([-0.7129268766368719, -0.1643421996512029, -0.35382160848311406]))
+    system = build_singular_system(geom, leg_lengths(geom, pose))
+    w1 = float(pose.position @ pose.position)
+    assert solution_arrays(geom, w_at(system, w1)[None], system.lengths).feasible[0]
+    intervals = feasible_interval(system, geom, 5.0)
+    assert any(lo <= w1 <= hi for lo, hi in intervals)
     assert_ends_admit_poses(system, geom, intervals)
 
 
