@@ -53,22 +53,35 @@ class PlatformGeometry:
     def __post_init__(self):
         base = _check_distinct(_check_base(self.base))
         a = self.top_transform
-        a = np.eye(3) if a is None else _float_array(a, "top transform", (3, 3))
-        if np.max(np.abs(a.T @ a - np.eye(3))) > ORTHOGONALITY_TOL:
-            raise ValidationError("top transform is not orthogonal")
-        if np.linalg.det(a) < 0.0:
-            # a reflection cannot be reached by rotating the plate
-            raise ValidationError("top transform must be a proper rotation (det +1)")
-        mu = _real(self.mu, "mu")
-        if not 0.0 < mu < 1.0:
-            raise ValidationError(f"mu must lie strictly between 0 and 1, got {mu}")
         # candidates carry q(R A) = q(R) (x) q(A); a row of them times this
         # matrix is q(R A) (x) conj(q(A)), the plate's q(R).  None when A = I.
         plate = None
-        if not (a == np.eye(3)).all():
-            a0, a1, a2, a3 = from_matrix(a)
-            plate = np.array([[a0, -a1, -a2, -a3], [a1, a0, a3, -a2],
-                              [a2, -a3, a0, a1], [a3, a2, -a1, a0]])
+        if a is None:
+            a = np.eye(3)
+        else:
+            # A's checks read its nine entries as Python floats: on one 3x3
+            # matrix, numpy's per-call overhead costs more than the arithmetic
+            a = _float_array(a, "top transform", (3, 3))
+            rows = a.tolist()
+            (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows
+            # the six distinct entries of A^T A - I, dot products of A's columns;
+            # `not <=` also refuses a NaN from overflowing entries
+            gaps = (x0 * x0 + x1 * x1 + x2 * x2 - 1.0, y0 * y0 + y1 * y1 + y2 * y2 - 1.0,
+                    z0 * z0 + z1 * z1 + z2 * z2 - 1.0, x0 * y0 + x1 * y1 + x2 * y2,
+                    x0 * z0 + x1 * z1 + x2 * z2, y0 * z0 + y1 * z1 + y2 * z2)
+            if not max(map(abs, gaps)) <= ORTHOGONALITY_TOL:
+                raise ValidationError("top transform is not orthogonal")
+            # det A as the triple product of its columns, x . (y cross z); a
+            # reflection cannot be reached by rotating the plate
+            if x0 * (y1 * z2 - y2 * z1) + x1 * (y2 * z0 - y0 * z2) + x2 * (y0 * z1 - y1 * z0) < 0.0:
+                raise ValidationError("top transform must be a proper rotation (det +1)")
+            if rows != [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]:
+                a0, a1, a2, a3 = from_matrix(a)
+                plate = np.array([[a0, -a1, -a2, -a3], [a1, a0, a3, -a2],
+                                  [a2, -a3, a0, a1], [a3, a2, -a1, a0]])
+        mu = _real(self.mu, "mu")
+        if not 0.0 < mu < 1.0:
+            raise ValidationError(f"mu must lie strictly between 0 and 1, got {mu}")
         # the shift (1 + mu^2) * |B_i|^2 of the length system (ik.d_from_lengths)
         shift = (1.0 + mu ** 2) * (base ** 2).sum(axis=1)
         # read-only, so that nothing derived from them here can go stale
