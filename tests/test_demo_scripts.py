@@ -12,6 +12,7 @@ from stewart66 import FkSolution, Pose, Quaternion, SingularBase
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DEMO = SCRIPTS / "selfmotion_demo.py"
 CENSUS = SCRIPTS / "fk_census.py"
+FINGERPRINTS = SCRIPTS / "fingerprints.py"
 
 
 def load_script(path):
@@ -115,3 +116,13 @@ def test_census_counts_an_empty_answer_as_a_miss(monkeypatch, capsys):
 def test_census_exits_3_on_another_solver_failure(monkeypatch, capsys):
     answer = raising(SingularBase("base lies on a conic"))
     assert census_with(monkeypatch, capsys, answer) == (3, "", "error: base lies on a conic\n")
+
+
+def test_fingerprints_repeat_run_to_run():
+    # no hash is pinned: numpy releases differ in the last bits
+    first, second = (run_script(FINGERPRINTS, ["--items", "30"]) for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    source, *hashes = first.stdout.splitlines()
+    assert Path(source).resolve() == Path(stewart66.__file__).resolve()
+    assert [line.split()[0] for line in hashes] == ["fk_stream", "design_scan", "selfmotion"]

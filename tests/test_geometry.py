@@ -179,6 +179,17 @@ def test_the_margin_measures_the_distance_from_the_conic(offset):
     assert 0.16 <= conic_check(base).margin / offset <= 0.17
 
 
+@pytest.mark.parametrize("offset, margin, rank", [(3e-9, 4.95e-10, 6), (3e-10, 4.95e-11, 5)])
+def test_rank_threshold_is_1_65e_10(offset, margin, rank):
+    # the margin is 0.165 times the push-out; RANK_EPS ten times larger or
+    # smaller flips one of these (a push of 1e-9 would sit at the threshold)
+    base = hexagon_base()
+    base[0] *= 1.0 + offset
+    report = conic_check(base)
+    assert report.margin == pytest.approx(margin, rel=0.01)
+    assert report.rank == rank
+
+
 @given(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6), st.integers(0, 5),
        st.floats(-14.0, -2.0), st.integers(-60, 60))
 def test_on_conic_is_the_margin_test(angles, vertex, log_offset, log2_scale):
@@ -269,13 +280,59 @@ def test_geometry_accepts_rotation_top_transform(rng):
 def test_geometry_rejects_non_orthogonal_transform():
     a = np.eye(3)
     a[0, 1] = 1e-3
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="top transform is not orthogonal"):
         PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)
 
 
+@pytest.mark.parametrize("entry, accepted", [(4e-10, True), (3e-9, False)])
+def test_orthogonality_tolerance_is_one_part_in_1e9(entry, accepted):
+    # A^T A - I is entry off the diagonal: ORTHOGONALITY_TOL ten times
+    # looser or tighter flips one of these
+    a = np.eye(3)
+    a[0, 1] = entry
+    if accepted:
+        PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)
+    else:
+        with pytest.raises(ValidationError, match="top transform is not orthogonal"):
+            PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)
+
+
 def test_geometry_rejects_reflection():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"must be a proper rotation \(det \+1\)"):
         PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=np.diag([1.0, 1.0, -1.0]))
+
+
+def test_top_transform_checks_match_the_matrix_formulas(rng):
+    # rotations off by N(0, 1) * 10^U(-12, -7), a third with one column
+    # negated, against A^T A - I and det A as numpy computes them
+    for k in range(2000):
+        a = random_rotation(rng) + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-12.0, -7.0)
+        if k % 3 == 0:
+            a[:, rng.integers(3)] *= -1.0
+        gap = np.max(np.abs(a.T @ a - np.eye(3)))
+        if abs(gap / 1e-9 - 1.0) <= 1e-6:
+            continue  # the two sums may round apart at the bound
+        expected = gap <= 1e-9 and np.linalg.det(a) > 0.0
+        try:
+            PlatformGeometry(base=hexagon_base(), mu=0.5, top_transform=a)
+        except ValidationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected, (k, gap)
+
+
+@pytest.mark.parametrize("offset, duplicate", [(2e-9, False), (5e-10, True)])
+def test_vertex_separation_is_one_part_in_1e9(offset, duplicate):
+    # vertex 1 moved to vertex 0 plus (0, offset) on the unit hexagon:
+    # MIN_VERTEX_SEPARATION ten times larger or smaller flips one of these
+    base = hexagon_base()
+    base[1] = base[0] + [0.0, offset]
+    if duplicate:
+        with pytest.raises(DuplicateVertex, match="base vertices 0 and 1 coincide"):
+            PlatformGeometry(base=base, mu=0.5)
+    else:
+        PlatformGeometry(base=base, mu=0.5)
 
 
 def test_geometry_rejects_duplicate_vertices():
