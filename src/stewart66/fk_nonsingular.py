@@ -281,11 +281,13 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     results', so every result field is the transpose of an array built
     here.  The four candidates (4, 4, N) and their plates are formed in
     full; the plane maps (2, 3, 2, N), sphere points (3, 2, 2, N) and the
-    audit cover slots 0-1 only.  Slot s + 2 carries q_RA with (q1, q2)
-    negated, so its pose is slot s's mirrored through the base plane, with
-    the same leg lengths: its points are slot s's at (x, y, -z) with the
-    + and - points swapped, and its residuals and verdicts swap with them.
-    A slot-0-1 point is audited when its slot is kept: a kept mirror implies it.
+    audit's legs (3, 6, 2, 2, N) cover slots 0-1 only.  Slot s + 2 carries
+    q_RA with (q1, q2) negated, so its pose is slot s's mirrored through the
+    base plane, with the same leg lengths: its points are slot s's at
+    (x, y, -z) with the + and - points swapped, and its residuals and
+    verdicts swap with them.  The legs of every slot-0-1 point are formed,
+    and a point is audited, its residual NaN otherwise, where its slot is
+    kept and meets the sphere: a kept mirror implies a kept slot.
     ValidationError when some |w_i| exceeds MAX_W or is NaN; no rows give
     fields of no rows.
     """
@@ -304,21 +306,14 @@ def solution_arrays(geom: PlatformGeometry, w, lengths) -> SolutionArrays:
     points, signs, hit = sphere_points(w, m)
     tol = RESIDUAL_TOL * (1.0 + lengths.max())
     kept = rotations.kept.T
-    residuals = np.empty(hit.shape)
-    residuals.fill(np.nan)
-    verdict = np.zeros(hit.shape, dtype=bool)
-    # every slot-0-1 (slot, row) with a sphere point at once; legs are
-    # (3, 6, 2, M).  np.take, not fancy indexing: its result keeps the
-    # gathered axis last in memory too, so the legs stay components first
-    audit = (kept[:2] & hit[0]).ravel().nonzero()[0]
-    legs = leg_vectors(geom, m.reshape(2, 3, -1).take(audit, axis=2)[:, :, None],
-                       points.reshape(3, 2, -1).take(audit, axis=2))
+    audit = kept[:2] & hit[0]
+    legs = leg_vectors(geom, m[:, :, None], points)  # (3, 6, 2, 2, N)
     legs *= legs
     audited = np.sqrt(np.add.reduce(legs, axis=0), out=legs[0])
-    gaps = audited - lengths[:, None, None]
+    gaps = audited - lengths[:, None, None, None]
     residual = np.abs(gaps, out=gaps).max(axis=0)
-    residuals.reshape(2, -1)[:, audit] = residual
-    verdict.reshape(2, -1)[:, audit] = (residual <= tol) & (audited >= MIN_LEG_LENGTH).all(axis=0)
+    residuals = np.where(audit, residual, np.nan)
+    verdict = (residual <= tol) & (audited >= MIN_LEG_LENGTH).all(axis=0) & audit
     # slots 2-3 as the mirrors of slots 0-1.  Signs and hit flags are not
     # swapped: at tangency only branch 0 is hit, with sign 0, and both
     # branches hold the one point

@@ -13,6 +13,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DEMO = SCRIPTS / "selfmotion_demo.py"
 CENSUS = SCRIPTS / "fk_census.py"
 FINGERPRINTS = SCRIPTS / "fingerprints.py"
+KERNEL_TIMING = SCRIPTS / "kernel_timing.py"
 
 
 def load_script(path):
@@ -126,3 +127,20 @@ def test_fingerprints_repeat_run_to_run():
     source, *hashes = first.stdout.splitlines()
     assert Path(source).resolve() == Path(stewart66.__file__).resolve()
     assert [line.split()[0] for line in hashes] == ["fk_stream", "design_scan", "selfmotion"]
+
+
+def test_kernel_timing_times_both_ends_of_the_batch_size():
+    proc = run_script(KERNEL_TIMING, ["--repeats", "1", "--items", "3", "--samples", "5",
+                                      "--grid-rows", "11"])
+    assert proc.returncode == 0, proc.stderr
+    source, cache, *timings = proc.stdout.splitlines()
+    assert Path(source).resolve() == Path(stewart66.__file__).resolve()
+    assert cache in ("__pycache__ beside it: yes", "__pycache__ beside it: no")
+    families = enumerate(["hexagon", "circle", "circle", "ellipse"])
+    labels = ["fk_solve 3 calls",
+              *(f"{stage} {i} {kind} 5 rows" for i, kind in families
+                for stage in ("solution_arrays", "sweep")),
+              "solution_arrays [0, 1] 11 rows", "solution_arrays [0, 5] 11 rows"]
+    heads = [" ".join(line.split()[:len(label.split())]) for line, label in zip(timings, labels)]
+    assert heads == labels
+    assert len(timings) == len(labels)

@@ -147,6 +147,23 @@ def test_position_tangency(hexagon_geometry):
     assert np.allclose(point, 0.0)
 
 
+@pytest.mark.parametrize("multiple, signs", [(24, [1, -1]), (4, [0])], ids=["split", "snapped"])
+def test_tangency_snap_splits_above_8_eps_of_its_terms(multiple, signs, hexagon_geometry):
+    # A = I, mu 0.5 and (w2, w3) = (-0.5, -0.25) put r0 at (0.5, 0.25, 0),
+    # so |r0|^2 = 0.3125 and chord^2 = w1 - 0.3125 are exact; chord^2 is
+    # multiple * EPS * (|w1| + |r0|^2) to within 1e-14 relative
+    rr = 0.3125
+    w1 = rr + multiple * np.finfo(float).eps * 2.0 * rr
+    pts = points([w1, -0.5, -0.25, -1.0, 0.0, -1.0], Quaternion(1, 0, 0, 0), hexagon_geometry)
+    assert [sign for _, sign in pts] == signs
+    r0 = np.array([0.5, 0.25, 0.0])
+    if len(pts) == 1:
+        assert pts[0][0].tolist() == r0.tolist()
+    else:
+        assert pts[0][0][2] > 0.0 > pts[1][0][2]
+        assert pts[0][0][:2].tolist() == pts[1][0][:2].tolist() == r0[:2].tolist()
+
+
 def test_position_no_intersection(hexagon_geometry):
     assert points([-0.5, 0, 0, -1, 0, -1], Quaternion(1, 0, 0, 0), hexagon_geometry) == []
 
@@ -200,6 +217,43 @@ def test_audit_rejects_points_off_the_lengths(perturbed_geometry, rng):
     assert np.array_equal(off.positions, exact.positions)
     assert not off.accepted.any()
     assert off.solutions() == [[]]
+
+
+@pytest.mark.parametrize("raise_by, found", [(3e-9, True), (3e-8, False)], ids=["kept", "refused"])
+def test_audit_tolerance_is_one_part_in_1e8(raise_by, found, perturbed_geometry, rng):
+    # one leg raised by raise_by * (1 + max L): the seed pose's residual is
+    # that raise, against RESIDUAL_TOL = 1e-8 of (1 + max L)
+    pose = random_feasible_pose(perturbed_geometry, rng)
+    w = w_from_pose(perturbed_geometry, pose)[None]
+    lengths = leg_lengths(perturbed_geometry, pose)
+    lengths[2] += raise_by * (1.0 + lengths.max())
+    sols = solution_arrays(perturbed_geometry, w, lengths).solutions()[0]
+    assert any(pose_gap(s.pose, pose) <= 1e-9 for s in sols) == found
+
+
+def test_audit_leaves_nan_where_a_slot_is_dropped_or_misses_the_sphere(perturbed_geometry, rng):
+    # rows: generic, slots 1 and 3 dropped (q3 = 0), no rotation fits, the
+    # sphere missed, tangent at the origin
+    geom = perturbed_geometry
+    pose = random_feasible_pose(geom, rng)
+    generic = w_from_pose(geom, pose)
+    flat = w_from_pose(geom, Pose(Quaternion(0.8, 0.36, 0.48, 0.0), np.array([0.1, -0.2, 0.9])))
+    missed = generic.copy()
+    missed[0] = -1.0
+    w = np.array([generic, flat, [1.0, 0, 0, -3.0, 0, 0.5], missed, [0.0, 0, 0, -1.0, 0, -1.0]])
+    batch = solution_arrays(geom, w, leg_lengths(geom, pose))
+    q = batch.rotations.quaternions.T
+    _, _, hit = sphere_points(w, plane_map(geom, columns(q[:, :2], 2)))
+    audit = (batch.rotations.kept.T[:2] & hit[0]).T  # (row, slot 0-1)
+    assert audit[0, 0] and audit[1].tolist() == [True, False] and audit[4].tolist() == [True, False]
+    assert not audit[2:4].any() and batch.rotations.kept[3].all()
+    assert hit[:, 0, 4].tolist() == [True, False]
+    for branch in range(2):
+        assert np.isnan(batch.residuals[:, :2, branch]).tolist() == (~audit).tolist()
+    # the mirrors: slots 2-3 with the branches swapped
+    assert batch.residuals[:, 2:, ::-1].tobytes() == batch.residuals[:, :2].tobytes()
+    assert batch.accepted[0].any()
+    assert not (batch.accepted & np.isnan(batch.residuals)).any()
 
 
 def test_audit_residuals_match_the_norm_of_each_pose_to_the_byte(rng):
