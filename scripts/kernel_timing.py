@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Time the forward kernel at both ends of its batch size.
+"""Time the forward kernel of two trees at both ends of its batch size.
 
-Prints the file stewart66 was imported from and whether a __pycache__
-sits beside it, then the best of --repeats passes of:
+Loads the stewart66 package under each of two src directories into one
+process, prints the file each was loaded from and whether a __pycache__
+sits beside it, then runs the two trees alternately for --rounds rounds
+(the first tree first in odd rounds), each case a best of 3 per round:
 
-- fk_solve on --items fk_stream items, in us a call (a batch of one);
-- solution_arrays and sweep on the four selfmotion families of --seed at
-  --samples rows, over each family's first feasible interval below the
-  workload's hint;
+- fk_solve on 300 fk_stream items of seed 1, in us a call (a batch of one);
+- solution_arrays on the four seed-1 selfmotion families at 1001 rows,
+  over each family's first feasible interval below the workload's hint;
 - solution_arrays on the hexagon family's --grid-rows grids over
   w1 in [0, 1], where every row fits a rotation, and [0, 5], where one
   row in five does.
 
-    PYTHONPATH=src python scripts/kernel_timing.py
-    PYTHONPATH=<other checkout>/src python scripts/kernel_timing.py
+For each case it prints the median over the rounds for each tree, the
+second tree's change against the first, and in how many rounds the
+second tree was faster.
 
-stewart66 is imported from PYTHONPATH (or wherever it is installed), so
-one copy of this script times any tree; perfbench/inputs.py is read from
-this checkout.  Compiled bytecode speeds up a tree's import, not these
-timings; the __pycache__ line is there for comparing process start-up
-figures, where both trees should have none (see README).
+    python scripts/kernel_timing.py <parent checkout>/src src
+
+Running both trees in one process, alternately, keeps a drift of the
+host's speed from reading as a difference between them; timings of two
+processes run one after the other do not.  perfbench/inputs.py is read
+from this checkout.
 """
 
 import argparse
+import importlib.util
+import statistics
 import sys
 from itertools import islice
 from pathlib import Path
@@ -32,17 +37,54 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-import stewart66  # noqa: E402
-from stewart66 import (PlatformGeometry, build_singular_system, feasible_interval,  # noqa: E402
-                       fk_solve, sweep, w_at)
-from stewart66.fk_nonsingular import solution_arrays  # noqa: E402
 import inputs  # noqa: E402  (perfbench/, on the path above)
 
+SEED = 1
+ITEMS = 300
+REPEATS = 3
 
-def best(repeats, call):
-    """The shortest of repeats timings of call(), in seconds."""
+
+def load(src, name):
+    """The stewart66 package under src, imported as the module name."""
+    package = Path(src).resolve() / "stewart66"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(pkg, grid_rows):
+    """(label, scale, unit, call) for every timed case, built with pkg's own types."""
+    solution_arrays = pkg.fk_nonsingular.solution_arrays
+    device = pkg.PlatformGeometry(base=inputs.PERTURBED_HEXAGON, mu=0.5)
+    items = [item.lengths for item in islice(inputs.fk_stream_chunk(SEED, 0), ITEMS)]
+    out = [("fk_solve", 1e6 / ITEMS, "us a call",
+            lambda: [pkg.fk_solve(device, lengths) for lengths in items])]
+    families = inputs.selfmotion_families(SEED)
+    for i, fam in enumerate(families):
+        geom = pkg.PlatformGeometry(base=fam.base, mu=fam.mu)
+        system = pkg.build_singular_system(geom, fam.lengths)
+        lo, hi = pkg.feasible_interval(system, geom, inputs.SELFMOTION_HINT)[0]
+        w = pkg.w_at(system, np.linspace(lo, hi, inputs.SWEEP_SAMPLES))
+        out.append((f"solution_arrays {i} {fam.kind}", 1e3, "ms",
+                    lambda geom=geom, w=w, lengths=system.lengths:
+                        solution_arrays(geom, w, lengths)))
+    hexagon = families[0]
+    geom = pkg.PlatformGeometry(base=hexagon.base, mu=hexagon.mu)
+    system = pkg.build_singular_system(geom, hexagon.lengths)
+    for hi in (1.0, 5.0):
+        w = pkg.w_at(system, np.linspace(0.0, hi, grid_rows))
+        out.append((f"solution_arrays [0, {hi:g}]", 1e3, "ms",
+                    lambda w=w: solution_arrays(geom, w, system.lengths)))
+    return out
+
+
+def best(call):
+    """The shortest of REPEATS timings of call(), in seconds."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
@@ -52,48 +94,34 @@ def best(repeats, call):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--items", type=int, default=1000)
-    parser.add_argument("--samples", type=int, default=inputs.SWEEP_SAMPLES)
+    parser.add_argument("first", help="src directory of the first tree (the parent)")
+    parser.add_argument("second", help="src directory of the second tree (the change)")
+    parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--grid-rows", type=int, default=100_001)
     args = parser.parse_args(argv)
-    for name in ("repeats", "items"):
-        if getattr(args, name) < 1:
-            parser.error(f"need at least 1 of --{name}, got {getattr(args, name)}")
-    for name in ("samples", "grid_rows"):
-        if getattr(args, name) < 2:
-            parser.error(f"need at least 2 {name.replace('_', ' ')}, got {getattr(args, name)}")
-    package = Path(stewart66.__file__)
-    print(package)
-    print(f"__pycache__ beside it: {'yes' if (package.parent / '__pycache__').exists() else 'no'}")
+    if args.rounds < 1:
+        parser.error(f"need at least 1 round, got {args.rounds}")
+    if args.grid_rows < 2:
+        parser.error(f"need at least 2 grid rows, got {args.grid_rows}")
+    trees = []
+    for i, src in enumerate((args.first, args.second)):
+        if not (Path(src) / "stewart66" / "__init__.py").is_file():
+            parser.error(f"no stewart66 package under {src}")
+        pkg = load(src, f"stewart66_tree{i}")
+        cached = (Path(pkg.__file__).parent / "__pycache__").exists()
+        print(f"tree {i}: {pkg.__file__} (__pycache__ beside it: {'yes' if cached else 'no'})")
+        trees.append(cases(pkg, args.grid_rows))
 
-    items = [item.lengths for item in islice(inputs.fk_stream_chunk(args.seed, 0), args.items)]
-    geom = PlatformGeometry(base=inputs.PERTURBED_HEXAGON, mu=0.5)
-    seconds = best(args.repeats, lambda: [fk_solve(geom, lengths) for lengths in items])
-    per_call = 1e6 * seconds / len(items)
-    print(f"fk_solve                   {len(items):>7} calls {per_call:10.1f} us a call")
-
-    families = inputs.selfmotion_families(args.seed)
-    for i, fam in enumerate(families):
-        label = f"{i} {fam.kind}"
-        geom = PlatformGeometry(base=fam.base, mu=fam.mu)
-        system = build_singular_system(geom, fam.lengths)
-        lo, hi = feasible_interval(system, geom, inputs.SELFMOTION_HINT)[0]
-        w = w_at(system, np.linspace(lo, hi, args.samples))
-        seconds = best(args.repeats, lambda: solution_arrays(geom, w, system.lengths))
-        print(f"solution_arrays {label:<10} {args.samples:>7} rows {1e3 * seconds:10.3f} ms")
-        seconds = best(args.repeats, lambda: sweep(system, geom, lo, hi, args.samples))
-        print(f"sweep           {label:<10} {args.samples:>7} rows {1e3 * seconds:10.3f} ms")
-
-    hexagon = families[0]
-    geom = PlatformGeometry(base=hexagon.base, mu=hexagon.mu)
-    system = build_singular_system(geom, hexagon.lengths)
-    for hi in (1.0, 5.0):
-        w = w_at(system, np.linspace(0.0, hi, args.grid_rows))
-        seconds = best(args.repeats, lambda: solution_arrays(geom, w, system.lengths))
-        label = f"[0, {hi:g}]"
-        print(f"solution_arrays {label:<10} {args.grid_rows:>7} rows {1e3 * seconds:10.3f} ms")
+    for j, (label, scale, unit, _) in enumerate(trees[0]):
+        times = ([], [])
+        for r in range(args.rounds):
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                times[i].append(best(trees[i][j][3]))
+        first, second = (scale * statistics.median(t) for t in times)
+        faster = sum(b < a for a, b in zip(*times))
+        print(f"{label:<26} {first:10.3f} -> {second:10.3f} {unit:<9} "
+              f"{100 * (second - first) / first:+6.1f}%  faster in {faster} of {args.rounds}",
+              flush=True)
     return 0
 
 

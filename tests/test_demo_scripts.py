@@ -130,17 +130,24 @@ def test_fingerprints_repeat_run_to_run():
 
 
 def test_kernel_timing_times_both_ends_of_the_batch_size():
-    proc = run_script(KERNEL_TIMING, ["--repeats", "1", "--items", "3", "--samples", "5",
-                                      "--grid-rows", "11"])
+    # one tree against itself: the package as this test imports it
+    src = str(Path(stewart66.__file__).resolve().parents[1])
+    proc = run_script(KERNEL_TIMING, [src, src, "--rounds", "1", "--grid-rows", "11"])
     assert proc.returncode == 0, proc.stderr
-    source, cache, *timings = proc.stdout.splitlines()
-    assert Path(source).resolve() == Path(stewart66.__file__).resolve()
-    assert cache in ("__pycache__ beside it: yes", "__pycache__ beside it: no")
-    families = enumerate(["hexagon", "circle", "circle", "ellipse"])
-    labels = ["fk_solve 3 calls",
-              *(f"{stage} {i} {kind} 5 rows" for i, kind in families
-                for stage in ("solution_arrays", "sweep")),
-              "solution_arrays [0, 1] 11 rows", "solution_arrays [0, 5] 11 rows"]
-    heads = [" ".join(line.split()[:len(label.split())]) for line, label in zip(timings, labels)]
-    assert heads == labels
-    assert len(timings) == len(labels)
+    first, second, *timings = proc.stdout.splitlines()
+    for i, line in enumerate([first, second]):
+        assert line.startswith(f"tree {i}: {Path(stewart66.__file__).resolve()} (__pycache__ beside it: ")
+    labels = ["fk_solve",
+              *(f"solution_arrays {i} {kind}"
+                for i, kind in enumerate(["hexagon", "circle", "circle", "ellipse"])),
+              "solution_arrays [0, 1]", "solution_arrays [0, 5]"]
+    assert [line[:26].rstrip() for line in timings] == labels
+    assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1")
+               for line in timings)
+
+
+def test_kernel_timing_refuses_a_directory_without_the_package(tmp_path):
+    src = str(Path(stewart66.__file__).resolve().parents[1])
+    proc = run_script(KERNEL_TIMING, [src, str(tmp_path), "--rounds", "1"])
+    assert proc.returncode == 2
+    assert f"no stewart66 package under {tmp_path}" in proc.stderr
