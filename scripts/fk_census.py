@@ -66,7 +66,7 @@ def census(trials, seed, mu):
             continue
         solutions = fk_solve(geom, lengths)
         counts[len(solutions)] += 1
-        if min((pose_gap(s.pose, pose) for s in solutions), default=np.inf) > FOUND_TOL:
+        if min((pose_gap(s, pose) for s in solutions), default=np.inf) > FOUND_TOL:
             misses += 1
         done += 1
 

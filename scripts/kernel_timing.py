@@ -9,6 +9,8 @@ sits beside it, then runs the two trees alternately for --rounds rounds
 - fk_solve on 300 fk_stream items of seed 1, in us a call (a batch of one);
 - solution_arrays on the four seed-1 selfmotion families at 1001 rows,
   over each family's first feasible interval below the workload's hint;
+- SolutionArrays.solutions() on those four batches, in one call each,
+  the result objects a sweep builds;
 - solution_arrays on the hexagon family's --grid-rows grids over
   w1 in [0, 1], where every row fits a rotation, and [0, 5], where one
   row in five does.
@@ -63,6 +65,7 @@ def cases(pkg, grid_rows):
     out = [("fk_solve", 1e6 / ITEMS, "us a call",
             lambda: [pkg.fk_solve(device, lengths) for lengths in items])]
     families = inputs.selfmotion_families(SEED)
+    batches = []
     for i, fam in enumerate(families):
         geom = pkg.PlatformGeometry(base=fam.base, mu=fam.mu)
         system = pkg.build_singular_system(geom, fam.lengths)
@@ -71,6 +74,9 @@ def cases(pkg, grid_rows):
         out.append((f"solution_arrays {i} {fam.kind}", 1e3, "ms",
                     lambda geom=geom, w=w, lengths=system.lengths:
                         solution_arrays(geom, w, lengths)))
+        batches.append(solution_arrays(geom, w, system.lengths))
+    out.append(("solutions() four families", 1e3, "ms",
+                lambda: [batch.solutions() for batch in batches]))
     hexagon = families[0]
     geom = pkg.PlatformGeometry(base=hexagon.base, mu=hexagon.mu)
     system = pkg.build_singular_system(geom, hexagon.lengths)

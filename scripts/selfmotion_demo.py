@@ -47,7 +47,7 @@ def walk(samples, mu):
     curve = sweep(system, geom, lo, hi, samples)
     print(f"\n{'w1':>8} {'q0':>10} {'q3':>10} {'z':>10} {'poses':>6} {'residual':>10}")
     for s in curve:
-        pose = s.poses[0].pose
+        pose = s.poses[0]
         print(f"{s.parameter:8.4f} {pose.orientation.q0:10.6f} "
               f"{abs(pose.orientation.q3):10.6f} {abs(pose.position[2]):10.6f} "
               f"{len(s.poses):6d} {s.leg_residual:10.2e}")

@@ -37,9 +37,9 @@ def _jfloat(x) -> float:
 
 def _solution_numbers(sol) -> list:
     """branch_rot, branch_pos, q0-q3, x, y, z and residual of an FkSolution, as printed."""
-    q = sol.pose.orientation
+    q = sol.orientation
     return [sol.rotation_index, sol.position_sign,
-            *map(_jfloat, [q.q0, q.q1, q.q2, q.q3, *sol.pose.position.tolist(), sol.leg_residual])]
+            *map(_jfloat, [q.q0, q.q1, q.q2, q.q3, *sol.position.tolist(), sol.leg_residual])]
 
 
 def _load_object(path, what, *keys) -> dict:

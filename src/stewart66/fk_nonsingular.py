@@ -65,11 +65,21 @@ BRANCHES = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class FkSolution:
-    pose: Pose
+class FkSolution(Pose):
+    """A solved pose: a Pose, with the candidate and sphere branch it came
+    from and how well it reproduces the input lengths."""
+
     rotation_index: int  # 1-based index into the candidate list
     position_sign: int   # +1 / -1 sphere branch, 0 at tangency
     leg_residual: float  # max |recomputed length - input length|
+
+    @property
+    def pose(self) -> FkSolution:
+        """The solution itself, which is its pose.  The package reads
+        orientation and position off the solution; this is kept for callers
+        that read sol.pose.orientation and sol.pose.position, as
+        perfbench/workloads.py does."""
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +125,12 @@ class SolutionArrays:
     def solutions(self) -> list:
         """One list of FkSolution per row, ordered by (candidate, + before -).
 
-        The accepted points are gathered by one flat index and the objects
-        filled column-wise by _fill, without the checks of Pose and
-        Quaternion: the audit accepts only finite positions, and every plate
-        is canonicalize output, which Quaternion keeps as it is.  Both
-        sphere branches of a candidate have the same plate, so they share
-        one Quaternion.
+        The accepted points are gathered by one flat index and their
+        FkSolutions, each its own Pose, filled column-wise by _fill, without
+        the checks of Pose and Quaternion: the audit accepts only finite
+        positions, and every plate is canonicalize output, which Quaternion
+        keeps as it is.  Both sphere branches of a candidate have the same
+        plate, so they share one Quaternion.
         """
         points = self.accepted.ravel().nonzero()[0]  # flat (row, slot, branch)
         candidates = points >> 1                     # flat (row, slot)
@@ -131,7 +141,7 @@ class SolutionArrays:
         positions = self.positions.reshape(-1, 3).take(points, axis=0)
         # one Quaternion per candidate, repeated for each of its points
         shared = np.fromiter(_fill(Quaternion, *plates.T.tolist()), object, len(lead))
-        found = _fill(FkSolution, _fill(Pose, shared.repeat(per[lead]).tolist(), list(positions)),
+        found = _fill(FkSolution, shared.repeat(per[lead]).tolist(), list(positions),
                       self.rotations.kept.cumsum(axis=1).take(candidates).tolist(),
                       self.signs.take(points).tolist(), self.residuals.take(points).tolist())
         # points run row by row, so each row's solutions are one slice
@@ -145,14 +155,15 @@ _consume = deque(maxlen=0).extend
 
 def _fill(cls, *columns) -> list:
     """len(columns[0]) new cls objects; object i gets columns[k][i] as the
-    k-th name of cls.__slots__, which is the dataclass field order.
+    k-th name of cls.__match_args__, the dataclass fields in order, those
+    of a base class first (a subclass's __slots__ holds only its own).
 
     Each field is set on all objects by one map over its slot descriptor,
     so neither __init__ nor __post_init__ runs: callers pass only values
     those checks would keep as they are.
     """
     objects = list(map(object.__new__, repeat(cls, len(columns[0]))))
-    for name, column in zip(cls.__slots__, columns, strict=True):
+    for name, column in zip(cls.__match_args__, columns, strict=True):
         _consume(map(getattr(cls, name).__set__, objects, column))
     return objects
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import stewart66
-from stewart66 import FkSolution, Pose, Quaternion, SingularBase
+from stewart66 import FkSolution, Quaternion, SingularBase
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DEMO = SCRIPTS / "selfmotion_demo.py"
@@ -94,7 +94,7 @@ def test_census_counts_a_wrong_orientation_as_a_miss(monkeypatch, capsys):
     turn = Quaternion(0.5 ** 0.5, 0.0, 0.0, 0.5 ** 0.5)
 
     def turned(geom, lengths):
-        return [FkSolution(Pose(turn, s.pose.position), s.rotation_index, s.position_sign,
+        return [FkSolution(turn, s.pose.position, s.rotation_index, s.position_sign,
                            s.leg_residual) for s in stewart66.fk_solve(geom, lengths)]
     code, out, _ = census_with(monkeypatch, capsys, turned)
     assert code == 0
@@ -140,7 +140,7 @@ def test_kernel_timing_times_both_ends_of_the_batch_size():
     labels = ["fk_solve",
               *(f"solution_arrays {i} {kind}"
                 for i, kind in enumerate(["hexagon", "circle", "circle", "ellipse"])),
-              "solution_arrays [0, 1]", "solution_arrays [0, 5]"]
+              "solutions() four families", "solution_arrays [0, 1]", "solution_arrays [0, 5]"]
     assert [line[:26].rstrip() for line in timings] == labels
     assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1")
                for line in timings)

@@ -1043,9 +1043,8 @@ def constructed(batch):
     rows = [[] for _ in range(len(batch.accepted))]
     for row, slot, branch in zip(*(x.tolist() for x in np.nonzero(batch.accepted))):
         plate = Quaternion(*batch.orientations[row, slot].tolist())
-        pose = Pose(plate, batch.positions[row, slot, branch])
-        rows[row].append(FkSolution(pose, int(index[row, slot]),
-                                    int(batch.signs[row, slot, branch]),
+        rows[row].append(FkSolution(plate, batch.positions[row, slot, branch],
+                                    int(index[row, slot]), int(batch.signs[row, slot, branch]),
                                     float(batch.residuals[row, slot, branch])))
     return rows
 

@@ -1,24 +1,28 @@
 """The result types are frozen, slotted dataclasses.
 
 SolutionArrays.solutions and sweep fill them field by field through their
-slot descriptors, in __slots__ order, so that order must be the field order.
+slot descriptors, in __match_args__ order, so that order must be the field
+order, and the slots along the class hierarchy must hold every field.
 """
 
 import copy
 import dataclasses
+import math
 import pickle
 import weakref
 
 import numpy as np
 import pytest
 
-from stewart66 import FkSolution, Pose, Quaternion, SingularCurveSample
+from helpers import hexagon_base, perturbed_hexagon_base
+from stewart66 import (FkSolution, PlatformGeometry, Pose, Quaternion, SingularCurveSample,
+                       build_singular_system, fk_solve, leg_lengths, sweep)
 
 
 def examples() -> dict:
     plate = Quaternion(0.6, 0.0, 0.0, 0.8)
     pose = Pose(plate, np.array([0.1, -0.2, 1.0]))
-    solution = FkSolution(pose, 2, -1, 3e-16)
+    solution = FkSolution(plate, np.array([0.1, -0.2, 1.0]), 2, -1, 3e-16)
     sample = SingularCurveSample(0.5, np.arange(6.0), (solution,), True, 3e-16, None)
     return {Quaternion: plate, Pose: pose, FkSolution: solution, SingularCurveSample: sample}
 
@@ -42,7 +46,9 @@ def value(request):
 
 def test_slots_are_the_fields_in_order(value):
     cls = type(value)
-    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert cls.__match_args__ == names
+    assert sum((c.__dict__.get("__slots__", ()) for c in reversed(cls.__mro__)), ()) == names
     assert not hasattr(value, "__dict__")
     with pytest.raises(TypeError):
         weakref.ref(value)
@@ -64,6 +70,29 @@ def test_round_trip_keeps_every_field(value, round_trip):
     again = round_trip(value)
     assert again is not value
     assert same(again, value)
+
+
+def solved_off_the_conic():
+    geom = PlatformGeometry(base=perturbed_hexagon_base(), mu=0.5)
+    pose = Pose(Quaternion(0.6, 0.0, 0.0, 0.8), np.array([0.1, -0.2, 1.0]))
+    return geom, fk_solve(geom, leg_lengths(geom, pose))
+
+
+def swept_on_the_conic():
+    geom = PlatformGeometry(base=hexagon_base(), mu=0.5)
+    system = build_singular_system(geom, np.full(6, math.sqrt(1.25)))
+    return geom, [sol for s in sweep(system, geom, 0.0, 1.0, 11) for sol in s.poses]
+
+
+@pytest.mark.parametrize("solved", [solved_off_the_conic, swept_on_the_conic],
+                         ids=["fk_solve", "sweep"])
+def test_a_solution_is_its_pose(solved):
+    geom, solutions = solved()
+    assert solutions
+    for sol in solutions:
+        assert sol.pose is sol and isinstance(sol, Pose)
+        alone = Pose(sol.orientation, sol.position)
+        assert leg_lengths(geom, sol).tobytes() == leg_lengths(geom, alone).tobytes()
 
 
 def test_quaternion_keeps_value_equality_and_hash():
