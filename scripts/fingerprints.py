@@ -5,7 +5,11 @@ Runs the fk_stream, design_scan and selfmotion workloads of perfbench/ on
 their own seeded inputs, through each workload's own setup, run, check
 and fingerprint, and prints one sha256 per workload over the pickled
 (fingerprint, check status) pair of every operation, all seeds in turn.
-Two trees whose outputs agree bit for bit print the same hashes.
+A fourth line, cli, hashes the cli workload's check, fk and sweep
+commands the same way, each run in-process through cli.main: its exit
+code, stdout and CSV, with elapsed_seconds and the temporary directory
+that holds the input files masked.  Two trees whose outputs agree bit for
+bit print the same hashes.
 
     PYTHONPATH=src python scripts/fingerprints.py
     PYTHONPATH=<other checkout>/src python scripts/fingerprints.py
@@ -23,6 +27,7 @@ import argparse
 import hashlib
 import pickle
 import sys
+import tempfile
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -47,6 +52,16 @@ def outputs(workload, seed, count):
         yield wl.fingerprint(result), wl.check(item, result)
 
 
+def cli_outputs(seed):
+    """((exit code, stdout, CSV), check status) of the cli workload's
+    commands at one seed, each an in-process cli.main call."""
+    with tempfile.TemporaryDirectory() as rundir:
+        wl = workloads.Cli(seed, rundir)
+        for cmd in wl.COMMANDS:
+            (code, stdout, table), status = wl._in_process(cmd)
+            yield (code, stdout.replace(rundir.encode(), b"<rundir>"), table), status
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -56,11 +71,13 @@ def main(argv=None):
     if args.items < 2:
         parser.error(f"need at least 2 items, got {args.items}")
     print(stewart66.__file__)
-    counts = {"fk_stream": args.items // 2, "design_scan": args.items, "selfmotion": None}
+    counts = {"fk_stream": args.items // 2, "design_scan": args.items, "selfmotion": None,
+              "cli": None}
     for workload, count in counts.items():
         digest, statuses = hashlib.sha256(), Counter()
         for seed in args.seeds:
-            for pair in outputs(workload, seed, count):
+            pairs = cli_outputs(seed) if workload == "cli" else outputs(workload, seed, count)
+            for pair in pairs:
                 # protocol 4 pickles alike on every Python this project supports
                 digest.update(pickle.dumps(pair, protocol=4))
                 statuses[pair[1]] += 1

@@ -13,7 +13,9 @@ sits beside it, then runs the two trees alternately for --rounds rounds
   the result objects a sweep builds;
 - solution_arrays on the hexagon family's --grid-rows grids over
   w1 in [0, 1], where every row fits a rotation, and [0, 5], where one
-  row in five does.
+  row in five does;
+- the cli workload's `stewart66 sweep --samples 1001` on the hexagon, as
+  an in-process cli.main call that writes its CSV to a temporary file.
 
 For each case it prints the median over the rounds for each tree, the
 second tree's change against the first, and in how many rounds the
@@ -28,9 +30,14 @@ from this checkout.
 """
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
+import io
+import json
 import statistics
 import sys
+import tempfile
 from itertools import islice
 from pathlib import Path
 from time import perf_counter
@@ -57,8 +64,25 @@ def load(src, name):
     return module
 
 
-def cases(pkg, grid_rows):
-    """(label, scale, unit, call) for every timed case, built with pkg's own types."""
+def cli_sweep(cli, rundir):
+    """cli.main of the cli workload's sweep, its stdout discarded."""
+    rundir = Path(rundir)
+    geom, legs = rundir / "hex.json", rundir / "hexlegs.json"
+    geom.write_text(json.dumps({"circle_angles": inputs.HEX_ANGLES.tolist(), "mu": 0.5}))
+    legs.write_text(json.dumps({"L": [inputs.ROOT_125] * 6}))
+    argv = ["sweep", "--geom", str(geom), "--legs", str(legs), "--w1-min", "0", "--w1-max", "1",
+            "--samples", str(inputs.SWEEP_SAMPLES), "--out", str(rundir / "curve.csv")]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"stewart66 {' '.join(argv)} failed")
+    return call
+
+
+def cases(pkg, grid_rows, rundir):
+    """(label, scale, unit, call) for every timed case, built with pkg's own
+    types; the CLI case writes its files under rundir."""
     solution_arrays = pkg.fk_nonsingular.solution_arrays
     device = pkg.PlatformGeometry(base=inputs.PERTURBED_HEXAGON, mu=0.5)
     items = [item.lengths for item in islice(inputs.fk_stream_chunk(SEED, 0), ITEMS)]
@@ -84,6 +108,8 @@ def cases(pkg, grid_rows):
         w = pkg.w_at(system, np.linspace(0.0, hi, grid_rows))
         out.append((f"solution_arrays [0, {hi:g}]", 1e3, "ms",
                     lambda w=w: solution_arrays(geom, w, system.lengths)))
+    out.append(("cli sweep", 1e3, "ms",
+                cli_sweep(importlib.import_module(f"{pkg.__name__}.cli"), rundir)))
     return out
 
 
@@ -110,24 +136,25 @@ def main(argv=None):
     if args.grid_rows < 2:
         parser.error(f"need at least 2 grid rows, got {args.grid_rows}")
     trees = []
-    for i, src in enumerate((args.first, args.second)):
-        if not (Path(src) / "stewart66" / "__init__.py").is_file():
-            parser.error(f"no stewart66 package under {src}")
-        pkg = load(src, f"stewart66_tree{i}")
-        cached = (Path(pkg.__file__).parent / "__pycache__").exists()
-        print(f"tree {i}: {pkg.__file__} (__pycache__ beside it: {'yes' if cached else 'no'})")
-        trees.append(cases(pkg, args.grid_rows))
+    with tempfile.TemporaryDirectory() as rundir:
+        for i, src in enumerate((args.first, args.second)):
+            if not (Path(src) / "stewart66" / "__init__.py").is_file():
+                parser.error(f"no stewart66 package under {src}")
+            pkg = load(src, f"stewart66_tree{i}")
+            cached = (Path(pkg.__file__).parent / "__pycache__").exists()
+            print(f"tree {i}: {pkg.__file__} (__pycache__ beside it: {'yes' if cached else 'no'})")
+            trees.append(cases(pkg, args.grid_rows, rundir))
 
-    for j, (label, scale, unit, _) in enumerate(trees[0]):
-        times = ([], [])
-        for r in range(args.rounds):
-            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
-                times[i].append(best(trees[i][j][3]))
-        first, second = (scale * statistics.median(t) for t in times)
-        faster = sum(b < a for a, b in zip(*times))
-        print(f"{label:<26} {first:10.3f} -> {second:10.3f} {unit:<9} "
-              f"{100 * (second - first) / first:+6.1f}%  faster in {faster} of {args.rounds}",
-              flush=True)
+        for j, (label, scale, unit, _) in enumerate(trees[0]):
+            times = ([], [])
+            for r in range(args.rounds):
+                for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                    times[i].append(best(trees[i][j][3]))
+            first, second = (scale * statistics.median(t) for t in times)
+            faster = sum(b < a for a, b in zip(*times))
+            print(f"{label:<26} {first:10.3f} -> {second:10.3f} {unit:<9} "
+                  f"{100 * (second - first) / first:+6.1f}%  faster in {faster} of {args.rounds}",
+                  flush=True)
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (Infeasible, KinematicsError, SingularBase, ValidationError,
                      _float_array, _real)
 from .fk_nonsingular import fk_solve
-from .fk_singular import build_singular_system, sweep
+from .fk_singular import _sweep_arrays, build_singular_system
 from .geometry import PlatformGeometry, conic_check, make_circle_base
 from .ik import Pose, check_lengths, leg_lengths
 from .rotation import Quaternion
@@ -122,24 +122,61 @@ def cmd_fk(args) -> None:
     print(json.dumps({"mode": "nonsingular", "solutions": payload}))
 
 
+def _reprs(values) -> np.ndarray:
+    """repr of each number of a 1-D float or integer array, as an object
+    array.  Each distinct value is formatted once: repr depends only on the
+    value, and the values hold no NaN and no -0.0, which equals 0.0."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array(list(map(repr, distinct.tolist())), dtype=object)[index]
+
+
+def _sweep_cells(w1, batch) -> np.ndarray:
+    """The CSV cells of a sweep, one column a line, from the w1 column and
+    the kernel batch of its samples: a sample's poses in the batch's (row,
+    slot, branch) order, sweep's own, or one line with the feasible flag 0
+    when it has none.  The last cell of a line ends with its newline.  The
+    numbers are _solution_numbers' and w1's, + 0.0 as _jfloat adds, so no
+    -0.0 is printed; audited points hold no NaN."""
+    n = len(w1)
+    accepted = batch.accepted.reshape(n, 8)
+    count = np.count_nonzero(accepted, axis=1)
+    points = accepted.ravel().nonzero()[0]  # flat (row, slot, branch)
+    candidates = points >> 1                # flat (row, slot)
+    poses = np.column_stack([batch.orientations.reshape(-1, 4).take(candidates, axis=0),
+                             batch.positions.reshape(-1, 3).take(points, axis=0),
+                             batch.residuals.take(points)])
+    text = _reprs(np.concatenate([w1, poses.ravel()]) + 0.0)
+    pose_text = text[n:].reshape(-1, 8).T
+    # the sample of each line: one line a pose, one for a sample with none
+    rows = np.repeat(np.arange(n), np.maximum(count, 1))
+    posed = count[rows] > 0
+    cells = np.full((12, len(rows)), "", dtype=object)
+    cells[0] = text[rows]
+    cells[1, posed] = _reprs(batch.rotations.kept.cumsum(axis=1).take(candidates))
+    cells[2, posed] = _reprs(batch.signs.take(points))
+    cells[3:10, posed] = pose_text[:7]
+    cells[10] = np.where(posed, "1", "0")
+    cells[11] = "\n"
+    cells[11, posed] = pose_text[7] + "\n"
+    return cells
+
+
 def cmd_sweep(args) -> None:
     start = time.perf_counter()
     geom = load_geometry(args.geom)
     lengths = load_lengths(args.legs)
     system = build_singular_system(geom, lengths)
-    samples = sweep(system, geom, args.w1_min, args.w1_max, args.samples)
-    lines = [CSV_HEADER]
-    for s in samples:
-        w1_txt = repr(_jfloat(s.parameter if system.parameterizable_by_w1 else s.w[0]))
-        if not s.feasible:
-            lines.append(f"{w1_txt},,,,,,,,,,0,")
-        for *pose, res in map(_solution_numbers, s.poses):
-            lines.append(",".join([w1_txt, *map(repr, pose), "1", repr(res)]))
+    grid, w, batch = _sweep_arrays(system, geom, args.w1_min, args.w1_max, args.samples)
+    # the cells' array is freed once its columns are lists, and each line
+    # is freed once written: no text of the whole CSV is held
+    columns = _sweep_cells(grid if system.parameterizable_by_w1 else w[:, 0], batch).tolist()
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            fh.writelines(map(",".join, zip(*columns)))
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from exc
+    residuals = batch.residuals[batch.accepted]
     print(json.dumps({
         "command": "sweep",
         "geom": args.geom,
@@ -149,9 +186,9 @@ def cmd_sweep(args) -> None:
         "samples": args.samples,
         "conic": _conic_json(system.conic),
         "parameterized_by_w1": system.parameterizable_by_w1,
-        "sample_count": len(samples),
-        "feasible_count": sum(1 for s in samples if s.feasible),
-        "max_residual": max((s.leg_residual for s in samples if s.feasible), default=None),
+        "sample_count": len(grid),
+        "feasible_count": int(np.count_nonzero(batch.feasible)),
+        "max_residual": float(residuals.max()) if residuals.size else None,
         "out": args.out,
         "elapsed_seconds": time.perf_counter() - start,
     }))

@@ -159,15 +159,10 @@ def _steps(batch: SolutionArrays) -> np.ndarray:
     return np.concatenate([[np.nan], np.where(best < np.inf, best, np.nan)])
 
 
-def sweep(system: SingularSystem, geom: PlatformGeometry,
-          w1_min: float, w1_max: float, samples: int) -> list:
-    """Evaluate the family on a uniform parameter grid.
-
-    Infeasible samples are recorded, not fatal.  Grid values are the
-    family parameter that w_at takes.  ValidationError unless samples is
-    an integer from 2 to MAX_SAMPLES, and when a grid value or its w
-    passes fk_nonsingular.MAX_W.
-    """
+def _sweep_arrays(system: SingularSystem, geom: PlatformGeometry,
+                  w1_min: float, w1_max: float, samples: int) -> tuple:
+    """sweep's grid, its w vectors and their one kernel batch, as
+    (grid, w, SolutionArrays); the checks and errors are sweep's."""
     w1_min, w1_max = _real(w1_min, "w1_min"), _real(w1_max, "w1_max")
     try:
         count = operator.index(None if isinstance(samples, bool) else samples)  # True is no count
@@ -181,7 +176,19 @@ def sweep(system: SingularSystem, geom: PlatformGeometry,
     w_at(system, [w1_min, w1_max])  # the ends' rule, before linspace overflows past it
     grid = np.linspace(w1_min, w1_max, count)
     w = w_at(system, grid)
-    batch = solution_arrays(geom, w, system.lengths)
+    return grid, w, solution_arrays(geom, w, system.lengths)
+
+
+def sweep(system: SingularSystem, geom: PlatformGeometry,
+          w1_min: float, w1_max: float, samples: int) -> list:
+    """Evaluate the family on a uniform parameter grid.
+
+    Infeasible samples are recorded, not fatal.  Grid values are the
+    family parameter that w_at takes.  ValidationError unless samples is
+    an integer from 2 to MAX_SAMPLES, and when a grid value or its w
+    passes fk_nonsingular.MAX_W.
+    """
+    grid, w, batch = _sweep_arrays(system, geom, w1_min, w1_max, samples)
     feasible = batch.feasible
     residual = np.where(batch.accepted, batch.residuals, -np.inf).max(axis=(1, 2))
     residual[~feasible] = np.nan

@@ -105,4 +105,12 @@ def from_matrix(m) -> np.ndarray:
     s = 2.0 * math.sqrt(diagonal)
     q = [x / s for x in off]
     q.insert(i, s / 4)
-    return canonicalize(q)
+    # canonicalize's arithmetic on Python floats: on one quaternion numpy's
+    # per-call overhead costs more than the arithmetic
+    q0, q1, q2, q3 = q
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if abs(norm - 1.0) > RENORM_TOL:
+        q = [x / norm for x in q]
+    if next((x for x in q if x != 0.0), 0.0) < 0.0:
+        q = [0.0 - x for x in q]
+    return np.array(q)

@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import collinear_base
-from stewart66 import cli, errors, linalg
+from helpers import (circle_through_origin_geometry, collinear_base, random_ellipse_base,
+                     random_feasible_pose, random_rotation)
+from stewart66 import PlatformGeometry, Pose, Quaternion, build_singular_system, cli, errors, linalg
+from stewart66 import leg_lengths, sweep
 from stewart66.cli import main
+from stewart66.fk_singular import _sweep_arrays
 
 HEX_GEOM = {"circle_angles": [k * math.pi / 3 for k in range(6)], "mu": 0.5}
 PERTURBED_GEOM = {
@@ -313,6 +318,108 @@ def test_sweep_is_byte_deterministic(hex_geom, resting_legs, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+# sweep's wall time, the one field of its stdout that differs run to run
+ELAPSED = re.compile(r'"elapsed_seconds": [^,}]+')
+
+
+def object_sweep(geom_path, legs_path, w1_min, w1_max, samples, out):
+    """What `stewart66 sweep` writes, printed from sweep's result objects:
+    the CSV text, each pose through cli._solution_numbers, and the stdout
+    line with elapsed_seconds null."""
+    geom = cli.load_geometry(geom_path)
+    system = build_singular_system(geom, cli.load_lengths(legs_path))
+    curve = sweep(system, geom, w1_min, w1_max, samples)
+    lines = [cli.CSV_HEADER]
+    for s in curve:
+        w1 = repr(cli._jfloat(s.parameter if system.parameterizable_by_w1 else s.w[0]))
+        if not s.feasible:
+            lines.append(f"{w1},,,,,,,,,,0,")
+        for *pose, res in map(cli._solution_numbers, s.poses):
+            lines.append(",".join([w1, *map(repr, pose), "1", repr(res)]))
+    summary = {
+        "command": "sweep", "geom": geom_path, "legs": legs_path, "w1_min": w1_min,
+        "w1_max": w1_max, "samples": samples, "conic": cli._conic_json(system.conic),
+        "parameterized_by_w1": system.parameterizable_by_w1, "sample_count": len(curve),
+        "feasible_count": sum(s.feasible for s in curve),
+        "max_residual": max((s.leg_residual for s in curve if s.feasible), default=None),
+        "out": out, "elapsed_seconds": None,
+    }
+    return "\n".join(lines) + "\n", json.dumps(summary) + "\n"
+
+
+def hexagon_files(tmp_path):
+    return (write(tmp_path / "hex.json", HEX_GEOM),
+            write(tmp_path / "legs.json", {"L": [ROOT_125] * 6}))
+
+
+def geometry_files(tmp_path, geom, pose):
+    """Geometry and lengths files of geom, the lengths those of pose."""
+    data = {"base": geom.base.tolist(), "mu": geom.mu, "A": geom.top_transform.tolist()}
+    return (write(tmp_path / "geom.json", data),
+            write(tmp_path / "legs.json", {"L": leg_lengths(geom, pose).tolist()}))
+
+
+def origin_circle_files(tmp_path):
+    # a circle through the base origin: arc length indexes its family
+    pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), np.array([0.0, 0.0, 1.0]))
+    return geometry_files(tmp_path, circle_through_origin_geometry(), pose)
+
+
+def turned_ellipse_files(tmp_path):
+    rng = np.random.default_rng(2718)
+    geom = PlatformGeometry(base=random_ellipse_base(rng), mu=0.4,
+                            top_transform=random_rotation(rng))
+    return geometry_files(tmp_path, geom, random_feasible_pose(geom, rng))
+
+
+# name: (input files, w1_min, w1_max,
+#        (parameterized_by_w1, some sample has a pose, some has none))
+SWEEP_CASES = {
+    "hexagon_0_1": (hexagon_files, "0", "1", (True, True, False)),
+    "hexagon_0_5": (hexagon_files, "0", "5", (True, True, True)),
+    "hexagon_10_20": (hexagon_files, "10", "20", (True, False, True)),
+    "origin_circle": (origin_circle_files, "-3", "3", (False, True, True)),
+    "turned_ellipse": (turned_ellipse_files, "0", "4", (True, True, True)),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_writes_what_the_object_results_print(case, tmp_path, capsys):
+    make_files, w1_min, w1_max, expected = SWEEP_CASES[case]
+    geom, legs = make_files(tmp_path)
+    out_csv = tmp_path / "curve.csv"
+    assert main(["sweep", "--geom", geom, "--legs", legs, "--w1-min", w1_min,
+                 "--w1-max", w1_max, "--samples", "1001", "--out", str(out_csv)]) == 0
+    stdout = ELAPSED.sub('"elapsed_seconds": null', capsys.readouterr().out)
+    table, summary = object_sweep(geom, legs, float(w1_min), float(w1_max), 1001, str(out_csv))
+    assert out_csv.read_bytes() == table.encode()
+    assert stdout == summary
+    report = json.loads(stdout)
+    count = report["feasible_count"]
+    assert (report["parameterized_by_w1"], count > 0, count < 1001) == expected
+
+
+def test_sweep_prints_a_zero_as_0_0(tmp_path):
+    # at w1 = 0 the hexagon's platform centre is the base origin, so z
+    # cancels to 0 in both poses; the same numbers with every zero made
+    # -0.0 print the same cells
+    geom_path, legs_path = hexagon_files(tmp_path)
+    geom = cli.load_geometry(geom_path)
+    system = build_singular_system(geom, cli.load_lengths(legs_path))
+    grid, _, batch = _sweep_arrays(system, geom, 0.0, 1.0, 11)
+    cells = cli._sweep_cells(grid, batch)
+    assert cells[9, cells[0] == "0.0"].tolist() == ["0.0"] * 2
+    assert not (cells == "-0.0").any()
+
+    def negated(x):
+        return np.where(x == 0.0, -0.0, x)
+
+    signed = dataclasses.replace(batch, orientations=negated(batch.orientations),
+                                 positions=negated(batch.positions))
+    assert np.signbit(signed.positions[0, :, :, 2]).all()
+    assert cli._sweep_cells(negated(grid), signed).tolist() == cells.tolist()
+
+
 def test_check_hexagon(hex_geom, capsys):
     assert main(["check", "--geom", hex_geom]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -419,7 +526,7 @@ def test_an_input_too_large_for_memory_exits_2(message, shown, hex_geom, resting
     # the error is raised here instead of asking numpy for the memory
     def fail(*args):
         raise MemoryError(message) if message else MemoryError
-    monkeypatch.setattr(cli, "sweep", fail)
+    monkeypatch.setattr(cli, "_sweep_arrays", fail)
     out_csv = tmp_path / "curve.csv"
     code = main(["sweep", "--geom", hex_geom, "--legs", resting_legs, "--w1-min", "0",
                  "--w1-max", "1", "--samples", "1099511627776", "--out", str(out_csv)])

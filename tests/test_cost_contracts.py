@@ -11,6 +11,7 @@ Two more counts do not depend on the host either: the SVDs numpy runs,
 through a counting wrapper, and the tracemalloc peak of a batch.
 """
 
+import json
 import math
 import sys
 import tracemalloc
@@ -19,9 +20,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (circle_through_origin_geometry, circle_through_origin_system, hexagon_base,
-                     perturbed_hexagon_base, random_feasible_pose, random_rotation,
+from helpers import (HEX_ANGLES, circle_through_origin_geometry, circle_through_origin_system,
+                     hexagon_base, perturbed_hexagon_base, random_feasible_pose, random_rotation,
                      seeded_conic_family)
+from stewart66 import cli
 from stewart66.fk_nonsingular import fk_solve, solution_arrays
 from stewart66.fk_singular import (build_singular_system, feasible_interval, recover_poses, sweep,
                                    w_at)
@@ -81,6 +83,25 @@ def test_sweep_makes_the_same_calls_at_every_sample_count():
         assert calls["fk_nonsingular.solution_arrays"] == 1
         # Quaternion, FkSolution and SingularCurveSample objects: one pass each
         assert calls["fk_nonsingular._fill"] == 3
+        counts.append(calls)
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_the_cli_sweep_builds_no_result_objects(tmp_path, capsys):
+    # its CSV is read off the kernel's arrays: no Quaternion, FkSolution or
+    # SingularCurveSample is filled, at any sample count
+    geom, legs = tmp_path / "hex.json", tmp_path / "legs.json"
+    geom.write_text(json.dumps({"circle_angles": HEX_ANGLES.tolist(), "mu": 0.5}))
+    legs.write_text(json.dumps({"L": [math.sqrt(1.25)] * 6}))
+    counts = []
+    for n in (101, 1001, 10_001):
+        calls = package_calls(cli.main, ["sweep", "--geom", str(geom), "--legs", str(legs),
+                                         "--w1-min", "0", "--w1-max", "1.2", "--samples", str(n),
+                                         "--out", str(tmp_path / "curve.csv")])
+        assert json.loads(capsys.readouterr().out)["sample_count"] == n
+        assert calls["fk_nonsingular.solution_arrays"] == 1
+        assert calls["fk_nonsingular._fill"] == 0
+        assert calls["fk_nonsingular.solutions"] == 0
         counts.append(calls)
     assert counts[0] == counts[1] == counts[2]
 

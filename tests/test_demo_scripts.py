@@ -126,7 +126,8 @@ def test_fingerprints_repeat_run_to_run():
     assert first.stdout == second.stdout
     source, *hashes = first.stdout.splitlines()
     assert Path(source).resolve() == Path(stewart66.__file__).resolve()
-    assert [line.split()[0] for line in hashes] == ["fk_stream", "design_scan", "selfmotion"]
+    names = ["fk_stream", "design_scan", "selfmotion", "cli"]
+    assert [line.split()[0] for line in hashes] == names
 
 
 def test_kernel_timing_times_both_ends_of_the_batch_size():
@@ -140,7 +141,8 @@ def test_kernel_timing_times_both_ends_of_the_batch_size():
     labels = ["fk_solve",
               *(f"solution_arrays {i} {kind}"
                 for i, kind in enumerate(["hexagon", "circle", "circle", "ellipse"])),
-              "solutions() four families", "solution_arrays [0, 1]", "solution_arrays [0, 5]"]
+              "solutions() four families", "solution_arrays [0, 1]", "solution_arrays [0, 5]",
+              "cli sweep"]
     assert [line[:26].rstrip() for line in timings] == labels
     assert all(line.endswith("faster in 0 of 1") or line.endswith("faster in 1 of 1")
                for line in timings)

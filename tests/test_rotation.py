@@ -194,14 +194,24 @@ def test_from_matrix_round_trip(q):
     assert np.max(np.abs(to_matrix(back) - to_matrix(qc))) <= 1e-12
 
 
+# Half turns about the coordinate axes and about three axes in their planes:
+# Shepperd's q0 is exactly 0 for each, and other components are 0 or -0.0
+HALF_TURN_AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                  (1.0, -2.0, 0.0), (0.0, 1.0, -2.0), (-2.0, 0.0, 1.0)]
+
+
 def top_rotations():
     """One A per Shepperd branch, three of them with a negative q0 so that
-    the sign fold acts, one folded with an exactly zero component, random A,
-    and A 1e-10 off orthogonal, whose Shepperd quaternions are renormalized."""
+    the sign fold acts, one folded with an exactly zero component, the half
+    turns about HALF_TURN_AXES, random A, and A 1e-10 off orthogonal, whose
+    Shepperd quaternions are renormalized."""
     rng = np.random.default_rng(1212)
     mats = [to_matrix(Quaternion(*(q / np.linalg.norm(q)))) for q in np.array(
         [[0.9, 0.3, -0.2, 0.25], [-0.2, 0.9, 0.3, 0.1], [-0.1, 0.3, 0.9, -0.2],
          [-0.3, 0.1, -0.2, 0.9], [-0.2, 0.9, 0.3, 0.0]])]
+    for axis in HALF_TURN_AXES:
+        a = np.array(axis) / np.linalg.norm(axis)
+        mats.append(2.0 * np.outer(a, a) - np.eye(3))
     mats += [to_matrix(random_unit_quaternion(rng)) for _ in range(200)]
     off = [to_matrix(random_unit_quaternion(rng)) * rng.uniform(1.0 + 1e-10, 1.0 + 3e-10)
            + 1e-11 * rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(100)]
@@ -215,6 +225,11 @@ def test_from_matrix_folds_bit_equal_to_canonicalize():
     raw = [oracle.shepperd(m) for m in mats]
     assert sum(q[0] < 0.0 for q in raw[:4]) == 3
     assert raw[4][0] < 0.0 and raw[4][3] == 0.0
+    turns = raw[5:5 + len(HALF_TURN_AXES)]
+    assert all(q[0] == 0.0 and sum(x == 0.0 for x in q) >= 2 for q in turns)
+    # two folds with q0 = 0, and one -0.0 component left where it is
+    assert sum(next(x for x in q if x != 0.0) < 0.0 for q in turns) == 2
+    assert any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in turns[5])
     assert all(abs(math.sqrt(sum(x * x for x in q)) - 1.0) > RENORM_TOL for q in raw[-100:])
     for m, q in zip(mats, raw):
         assert from_matrix(m).tobytes() == canonicalize(q).tobytes()
